@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     const sgl::ClassDef& def = engine->catalog().Get(rec.target_cls);
     std::printf("  %s <- %s\n",
                 def.effect_field(rec.field).name.c_str(),
-                rec.value.ToString().c_str());
+                rec.value.ToValue().ToString().c_str());
   }
   return 0;
 }

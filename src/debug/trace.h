@@ -1,12 +1,22 @@
-// Effect tracing hook (§3.3: "developers should be able to select an
+// Effect tracing records (§3.3: "developers should be able to select an
 // individual NPC and view the effects assigned to it").
 //
-// When a sink is attached, every effect assignment (vectorized or scalar
-// path) reports (target, field, value, source assignment). The executor
-// checks one pointer when no sink is attached, so tracing is pay-as-you-go.
+// When a tracer is attached (src/debug/tracer.h), every effect assignment
+// (vectorized or scalar path, and every committed transaction write)
+// reports one TraceRecord: (target, field, contribution, source
+// assignment, order key, provenance). The executor checks one pointer when
+// no tracer is attached, so tracing is pay-as-you-go.
+//
+// TraceRecord is trivially copyable — the contribution is a kind tag plus
+// an unboxed double/bool/ref payload, never a boxed Value — so appending
+// to a tracer lane is a plain store and draining a lane is a memcpy. The
+// engine never traces a set-valued contribution: set inserts are traced
+// element-wise as ref contributions.
 
 #ifndef SGL_DEBUG_TRACE_H_
 #define SGL_DEBUG_TRACE_H_
+
+#include <type_traits>
 
 #include "src/common/types.h"
 #include "src/common/value.h"
@@ -31,20 +41,82 @@ struct EffectProv {
   int64_t txn = -1;
 };
 
-/// Receives effect-assignment events during the query/effect phase.
-class EffectTraceSink {
- public:
-  virtual ~EffectTraceSink() = default;
+/// A traced contribution: number, bool or ref, unboxed.
+struct TraceValue {
+  ValueKind kind = ValueKind::kNumber;
+  union {
+    double num = 0.0;
+    bool b;
+    EntityId ref;
+  };
 
-  /// Called once per effect assignment. `assign_id` identifies the source
-  /// statement in the compiled program; `order_key` is the deterministic
-  /// ⊕-resolution key; `prov` attributes the write to its emitting site,
-  /// shard, source rows, and (if any) transaction.
-  virtual void OnEffectAssign(Tick tick, EntityId target, ClassId target_cls,
-                              FieldIdx field, const Value& value,
-                              int assign_id, uint64_t order_key,
-                              const EffectProv& prov) = 0;
+  static TraceValue Number(double d) {
+    TraceValue v;
+    v.num = d;
+    return v;
+  }
+  static TraceValue Bool(bool x) {
+    TraceValue v;
+    v.kind = ValueKind::kBool;
+    v.b = x;
+    return v;
+  }
+  static TraceValue Ref(EntityId id) {
+    TraceValue v;
+    v.kind = ValueKind::kRef;
+    v.ref = id;
+    return v;
+  }
+
+  double AsNumber() const {
+    SGL_CHECK(kind == ValueKind::kNumber);
+    return num;
+  }
+  /// The contribution as a boxed Value (off the record path).
+  Value ToValue() const {
+    switch (kind) {
+      case ValueKind::kBool: return Value::Bool(b);
+      case ValueKind::kRef: return Value::Ref(ref);
+      default: return Value::Number(num);
+    }
+  }
 };
+
+/// One recorded effect assignment.
+struct TraceRecord {
+  Tick tick = 0;
+  EntityId target = kNullEntity;
+  ClassId target_cls = kInvalidClass;
+  FieldIdx field = kInvalidField;
+  int assign_id = 0;
+  /// The target's row when the write landed: a lookup hint for resolving
+  /// after-values at capture, which checks it against the table's id
+  /// column first (rows move under shard migration). Not record content.
+  RowIdx target_row = kInvalidRow;
+  uint64_t order_key = 0;
+  TraceValue value;
+  EffectProv prov;
+};
+static_assert(std::is_trivially_copyable_v<TraceRecord>,
+              "tracer lanes append and drain TraceRecords by memcpy");
+
+/// Canonical record order: (tick, phase [query < txn], order_key, target,
+/// field, assign_id). Query-phase ⊕ keys and transaction intent keys live
+/// in different namespaces, so the phase discriminator keeps them from
+/// interleaving. Used at read time only — `EffectTracer::Records()` and
+/// the flight recorder's provenance-tail serializer; nothing sorts on the
+/// tick.
+inline bool TraceRecordCanonicalLess(const TraceRecord& a,
+                                     const TraceRecord& b) {
+  if (a.tick != b.tick) return a.tick < b.tick;
+  const int ap = a.prov.txn >= 0 ? 1 : 0;
+  const int bp = b.prov.txn >= 0 ? 1 : 0;
+  if (ap != bp) return ap < bp;
+  if (a.order_key != b.order_key) return a.order_key < b.order_key;
+  if (a.target != b.target) return a.target < b.target;
+  if (a.field != b.field) return a.field < b.field;
+  return a.assign_id < b.assign_id;
+}
 
 }  // namespace sgl
 

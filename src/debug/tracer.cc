@@ -1,7 +1,5 @@
 #include "src/debug/tracer.h"
 
-#include <algorithm>
-
 namespace sgl {
 
 void EffectTracer::Watch(EntityId id) {
@@ -15,34 +13,12 @@ void EffectTracer::Unwatch(EntityId id) {
   if (it != watched_.end() && *it == id) watched_.erase(it);
 }
 
-bool EffectTracer::IsWatched(EntityId id) const {
-  return std::binary_search(watched_.begin(), watched_.end(), id);
-}
-
-void EffectTracer::OnEffectAssign(Tick tick, EntityId target,
-                                  ClassId target_cls, FieldIdx field,
-                                  const Value& value, int assign_id,
-                                  uint64_t order_key, const EffectProv& prov) {
-  if (!watch_all_ &&
-      !std::binary_search(watched_.begin(), watched_.end(), target)) {
-    return;
-  }
-  TraceRecord rec;
-  rec.tick = tick;
-  rec.target = target;
-  rec.target_cls = target_cls;
-  rec.field = field;
-  rec.value = value;
-  rec.assign_id = assign_id;
-  rec.order_key = order_key;
-  rec.prov = prov;
-  lanes_.Append(rec);
-}
-
 std::vector<TraceRecord> EffectTracer::Records() const {
   std::vector<TraceRecord> out;
   out.reserve(lanes_.size());
-  lanes_.ForEach([&](const TraceRecord& rec) { out.push_back(rec); });
+  lanes_.ForEachLane([&](const TraceRecord* data, size_t n) {
+    out.insert(out.end(), data, data + n);
+  });
   // Canonical total order: (tick, phase, order_key) with (target, field,
   // assign_id) breaking the astronomically-rare key collision so the
   // result never depends on which lane recorded what. Transaction-phase
@@ -61,9 +37,5 @@ std::vector<TraceRecord> EffectTracer::RecordsFor(EntityId id,
   }
   return out;
 }
-
-void EffectTracer::Clear() { lanes_.Clear(); }
-
-size_t EffectTracer::size() const { return lanes_.size(); }
 
 }  // namespace sgl

@@ -2,26 +2,29 @@
 // (§3.3: "developers should be able to select an individual NPC and view the
 // effects assigned to it"). Works identically under the compiled and the
 // object-at-a-time engines and under parallel execution (records are sorted
-// by deterministic order key on read).
+// into canonical order on read).
 //
 // Record path (hot): a membership test against a sorted flat watch list,
-// then an append to the calling worker's pooled lane
-// (src/telemetry/worker_lanes.h) — no mutex serializing parallel workers,
-// no per-record allocation once lanes reach their high-water capacity, so
-// an armed tracer holds the steady-state allocs_per_tick == 0 contract
-// when Clear() is called between ticks (capacity is kept).
+// then a plain store of the trivially copyable TraceRecord into the
+// calling worker slot's pooled lane (src/telemetry/worker_lanes.h) — no
+// mutex, no sort, no per-record allocation once lanes reach their
+// high-water capacity, so an armed tracer holds the steady-state
+// allocs_per_tick == 0 contract when Clear() is called between ticks
+// (capacity is kept).
 //
-// Read path (off-tick): lanes merge and sort into the canonical
-// (tick, order_key) order — the same total order the old single-vector
-// implementation exposed, now independent of which worker recorded what.
+// Read path (off-tick): Records() merges the lanes and sorts them into the
+// canonical TraceRecordCanonicalLess order — a total order independent of
+// which worker slot recorded what. ForEachLane() hands out the unsorted
+// lane blocks for the flight recorder's per-tick drain.
 //
-// Watch/Unwatch/Clear configure the tracer and must run between ticks
-// (the barrier thread); OnEffectAssign may run from any worker.
+// Watch/Unwatch/Clear/ReserveLanes configure the tracer and must run
+// between ticks (the barrier thread); OnEffectAssign runs from the worker
+// that owns `lane`.
 
 #ifndef SGL_DEBUG_TRACER_H_
 #define SGL_DEBUG_TRACER_H_
 
-#include <string>
+#include <algorithm>
 #include <vector>
 
 #include "src/debug/trace.h"
@@ -29,71 +32,44 @@
 
 namespace sgl {
 
-/// One recorded effect assignment.
-struct TraceRecord {
-  Tick tick = 0;
-  EntityId target = kNullEntity;
-  ClassId target_cls = kInvalidClass;
-  FieldIdx field = kInvalidField;
-  Value value;
-  int assign_id = 0;
-  uint64_t order_key = 0;
-  EffectProv prov;
-};
-
-/// Canonical record order: (tick, phase [query < txn], order_key, target,
-/// field, assign_id). Query-phase ⊕ keys and transaction intent keys live
-/// in different namespaces, so the phase discriminator keeps them from
-/// interleaving. Shared by `EffectTracer::Records()` and the flight
-/// recorder's per-frame sort.
-inline bool TraceRecordCanonicalLess(const TraceRecord& a,
-                                     const TraceRecord& b) {
-  if (a.tick != b.tick) return a.tick < b.tick;
-  const int ap = a.prov.txn >= 0 ? 1 : 0;
-  const int bp = b.prov.txn >= 0 ? 1 : 0;
-  if (ap != bp) return ap < bp;
-  if (a.order_key != b.order_key) return a.order_key < b.order_key;
-  if (a.target != b.target) return a.target < b.target;
-  if (a.field != b.field) return a.field < b.field;
-  return a.assign_id < b.assign_id;
-}
-
-class EffectTracer : public EffectTraceSink {
+class EffectTracer {
  public:
-  /// `max_lanes` bounds the distinct recording threads (WorkerLanes).
-  explicit EffectTracer(int max_lanes = 64) : lanes_(max_lanes) {}
-
   /// Starts watching an entity. No filter set = trace nothing.
   /// Configure between ticks (see header comment).
   void Watch(EntityId id);
   void Unwatch(EntityId id);
-  bool IsWatched(EntityId id) const;
+  bool IsWatched(EntityId id) const {
+    return std::binary_search(watched_.begin(), watched_.end(), id);
+  }
 
   /// Watch-all mode records every assignment regardless of the watch list
   /// (the flight recorder's capture sink). Configure between ticks.
   void set_watch_all(bool on) { watch_all_ = on; }
   bool watch_all() const { return watch_all_; }
 
-  void OnEffectAssign(Tick tick, EntityId target, ClassId target_cls,
-                      FieldIdx field, const Value& value, int assign_id,
-                      uint64_t order_key, const EffectProv& prov) override;
+  /// Makes worker-slot lanes [0, n) available; the executors call it at
+  /// tick start with their slot count.
+  void ReserveLanes(int n) { lanes_.Reserve(n); }
 
-  /// Records so far, ordered by (tick, deterministic order key).
+  /// Records one effect assignment from worker slot `lane`.
+  void OnEffectAssign(int lane, const TraceRecord& rec) {
+    if (watch_all_ || IsWatched(rec.target)) lanes_.Append(lane, rec);
+  }
+
+  /// Records so far, in canonical order (TraceRecordCanonicalLess).
   std::vector<TraceRecord> Records() const;
   /// Records for one entity in one tick, in canonical order.
   std::vector<TraceRecord> RecordsFor(EntityId id, Tick tick) const;
 
   /// Drops every record, keeping lane capacity (between ticks).
-  void Clear();
-  size_t size() const;
+  void Clear() { lanes_.Clear(); }
+  size_t size() const { return lanes_.size(); }
 
-  /// Unsorted lane-order visit of every record — allocation-free (the
-  /// flight recorder's pooled per-tick drain). Callers needing the
-  /// canonical order sort the copies themselves; `Records()` stays the
-  /// allocating convenience path.
+  /// Unsorted, allocation-free visit of each lane's records as one
+  /// contiguous block: `fn(const TraceRecord* data, size_t count)`.
   template <typename Fn>
-  void ForEachRecord(Fn&& fn) const {
-    lanes_.ForEach(fn);
+  void ForEachLane(Fn&& fn) const {
+    lanes_.ForEachLane(fn);
   }
 
  private:

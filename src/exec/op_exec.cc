@@ -154,6 +154,15 @@ inline int32_t ProvShard(const ExecEnv& env) {
   return env.tel_track == 0 ? 0 : static_cast<int32_t>(env.tel_track) - 1;
 }
 
+/// Hands one landed effect write to the attached tracers (user tracer
+/// and/or the flight recorder's capture sink), on this worker's lane.
+void TraceWrite(const ExecEnv& env, const TraceRecord& rec) {
+  if (env.trace != nullptr) env.trace->OnEffectAssign(env.trace_lane, rec);
+  if (env.recorder_sink != nullptr) {
+    env.recorder_sink->OnEffectAssign(env.trace_lane, rec);
+  }
+}
+
 int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
                     const EntityTable* inner_table, const PairRows& rows,
                     ExecEnv& env, const VmProgramCache* vm, int site) {
@@ -223,27 +232,25 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
       RowIdx inner = inner_rows != nullptr ? (*inner_rows)[i] : 0;
       return OrderKey(w.assign_id, (*outer_rows)[i], inner);
     };
-    auto trace = [&](size_t i, RowIdx row, const Value& v) {
+    auto trace = [&](size_t i, RowIdx row, TraceValue v) {
       ++applied;  // invoked exactly once per landed write, in all branches
       if (env.trace != nullptr || env.recorder_sink != nullptr) {
-        EffectProv prov;
-        prov.site = site;
-        prov.src_shard = ProvShard(env);
-        prov.src_outer = env.outer->id_at((*outer_rows)[i]);
+        TraceRecord rec;
+        rec.tick = env.tick;
+        rec.target = target_table.id_at(row);
+        rec.target_row = row;
+        rec.target_cls = w.target_cls;
+        rec.field = w.field;
+        rec.assign_id = w.assign_id;
+        rec.order_key = key_at(i);
+        rec.value = v;
+        rec.prov.site = site;
+        rec.prov.src_shard = ProvShard(env);
+        rec.prov.src_outer = env.outer->id_at((*outer_rows)[i]);
         if (inner_rows != nullptr && inner_table != nullptr) {
-          prov.src_inner = inner_table->id_at((*inner_rows)[i]);
+          rec.prov.src_inner = inner_table->id_at((*inner_rows)[i]);
         }
-        const EntityId target_id = target_table.id_at(row);
-        const uint64_t key = key_at(i);
-        if (env.trace != nullptr) {
-          env.trace->OnEffectAssign(env.tick, target_id, w.target_cls,
-                                    w.field, v, w.assign_id, key, prov);
-        }
-        if (env.recorder_sink != nullptr) {
-          env.recorder_sink->OnEffectAssign(env.tick, target_id, w.target_cls,
-                                            w.field, v, w.assign_id, key,
-                                            prov);
-        }
+        TraceWrite(env, rec);
       }
     };
     if (w.set_insert) {
@@ -252,7 +259,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink.AddSetInsert(w.field, row, (*refs)[i]);
-        trace(i, row, Value::Ref((*refs)[i]));
+        trace(i, row, TraceValue::Ref((*refs)[i]));
       }
     } else if (field.type.is_number()) {
       EvalNumAuto(*w.value, ctx, env, vm, nums.get());
@@ -260,7 +267,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink.AddNumber(w.field, row, (*nums)[i], key_at(i));
-        trace(i, row, Value::Number((*nums)[i]));
+        trace(i, row, TraceValue::Number((*nums)[i]));
       }
     } else if (field.type.is_bool()) {
       EvalBoolAuto(*w.value, ctx, env, vm, bools.get());
@@ -268,7 +275,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink.AddBool(w.field, row, (*bools)[i] != 0, key_at(i));
-        trace(i, row, Value::Bool((*bools)[i] != 0));
+        trace(i, row, TraceValue::Bool((*bools)[i] != 0));
       }
     } else if (field.type.is_ref()) {
       EvalRefAuto(*w.value, ctx, env, vm, refs.get());
@@ -276,7 +283,7 @@ int64_t ApplyWrites(const std::vector<EffectWrite>& writes,
         RowIdx row = target_row(i);
         if (row == kInvalidRow) continue;
         sink.AddRef(w.field, row, (*refs)[i], key_at(i));
-        trace(i, row, Value::Ref((*refs)[i]));
+        trace(i, row, TraceValue::Ref((*refs)[i]));
       }
     }
   }
@@ -1114,43 +1121,41 @@ void ApplyWriteScalar(const EffectWrite& w, RowIdx row, ClassId inner_cls,
                           inner_row == kInvalidRow ? 0 : inner_row);
   const FieldDef& field =
       env.world->catalog().Get(w.target_cls).effect_field(w.field);
-  Value traced;
+  TraceValue traced;
   if (w.set_insert) {
     EntityId v = EvalScalarRef(*w.value, ctx);
     sink.AddSetInsert(w.field, target_row, v);
-    traced = Value::Ref(v);
+    traced = TraceValue::Ref(v);
   } else if (field.type.is_number()) {
     double v = EvalScalarNum(*w.value, ctx);
     sink.AddNumber(w.field, target_row, v, key);
-    traced = Value::Number(v);
+    traced = TraceValue::Number(v);
   } else if (field.type.is_bool()) {
     bool v = EvalScalarBool(*w.value, ctx);
     sink.AddBool(w.field, target_row, v, key);
-    traced = Value::Bool(v);
+    traced = TraceValue::Bool(v);
   } else {
     EntityId v = EvalScalarRef(*w.value, ctx);
     sink.AddRef(w.field, target_row, v, key);
-    traced = Value::Ref(v);
+    traced = TraceValue::Ref(v);
   }
   if (env.trace != nullptr || env.recorder_sink != nullptr) {
-    EffectProv prov;
-    prov.site = site;
-    prov.src_shard = ProvShard(env);
-    prov.src_outer = env.outer->id_at(row);
+    TraceRecord rec;
+    rec.tick = env.tick;
+    rec.target = env.world->table(w.target_cls).id_at(target_row);
+    rec.target_row = target_row;
+    rec.target_cls = w.target_cls;
+    rec.field = w.field;
+    rec.assign_id = w.assign_id;
+    rec.order_key = key;
+    rec.value = traced;
+    rec.prov.site = site;
+    rec.prov.src_shard = ProvShard(env);
+    rec.prov.src_outer = env.outer->id_at(row);
     if (inner_row != kInvalidRow && inner_cls != kInvalidClass) {
-      prov.src_inner = env.world->table(inner_cls).id_at(inner_row);
+      rec.prov.src_inner = env.world->table(inner_cls).id_at(inner_row);
     }
-    const EntityId target_id =
-        env.world->table(w.target_cls).id_at(target_row);
-    if (env.trace != nullptr) {
-      env.trace->OnEffectAssign(env.tick, target_id, w.target_cls, w.field,
-                                traced, w.assign_id, key, prov);
-    }
-    if (env.recorder_sink != nullptr) {
-      env.recorder_sink->OnEffectAssign(env.tick, target_id, w.target_cls,
-                                        w.field, traced, w.assign_id, key,
-                                        prov);
-    }
+    TraceWrite(env, rec);
   }
 }
 

@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/debug/trace.h"
+#include "src/debug/tracer.h"
 #include "src/index/index_manager.h"
 #include "src/opt/adaptive.h"
 #include "src/ra/eval.h"
@@ -165,12 +165,15 @@ struct ExecEnv {
   const VmProgramCache* vm = nullptr;
   /// Per-site runtime feedback accumulator (size = program's num_sites).
   std::vector<SiteFeedback>* feedback = nullptr;
-  /// Optional tracing sink (§3.3). Null = off.
-  EffectTraceSink* trace = nullptr;
-  /// Second tracing sink: the flight recorder's armed watch-all capture
+  /// Optional user effect tracer (§3.3). Null = off.
+  EffectTracer* trace = nullptr;
+  /// Second tracer: the flight recorder's armed watch-all capture
   /// (src/telemetry/flight_recorder.h). Null = off; independent of
   /// `trace` so a user tracer and the recorder can coexist.
-  EffectTraceSink* recorder_sink = nullptr;
+  EffectTracer* recorder_sink = nullptr;
+  /// This worker's fixed slot, the tracer lane it appends to (see
+  /// src/telemetry/worker_lanes.h). Set once by the owning executor.
+  int trace_lane = 0;
   /// Telemetry span sink (src/telemetry/); null = disarmed (one branch
   /// per instrumented point). Borrowed, set by the owning executor.
   Telemetry* telemetry = nullptr;

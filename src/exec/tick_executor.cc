@@ -115,6 +115,7 @@ void TickExecutor::EnsureWorkers(int shards) {
     env.vm = vm_cache_.get();
     env.telemetry = options_.telemetry;
     env.tel_track = 0;  // unsharded: every span renders under pid "world"
+    env.trace_lane = s;
     workers_.push_back(std::move(w));
   }
 }
@@ -226,6 +227,9 @@ Status TickExecutor::RunTick() {
   recorder_sink_ = options_.recorder != nullptr
                        ? options_.recorder->capture_sink()
                        : nullptr;
+  for (EffectTracer* t : {trace_, recorder_sink_}) {
+    if (t != nullptr) t->ReserveLanes(shards);  // one lane per worker slot
+  }
   txn_.set_fault_tick(tick_);
   txn_.set_prov_sink(recorder_sink_);
   txn_.BeginTick(shards);
@@ -455,15 +459,20 @@ Status TickExecutor::RunTick() {
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
-  last_.total_micros = total.ElapsedMicros();
-  if (options_.recorder != nullptr) {
-    // Before the alloc-count capture below, so the recorder's own frame
-    // assembly is held to the same allocs_per_tick == 0 contract.
+  // --- 5. Recorder capture ----------------------------------------------
+  // Part of the tick: total_micros runs to the end of capture (the
+  // recorder seals its frame with the same figure). Before the alloc-count
+  // read below, so frame assembly is held to allocs_per_tick == 0.
+  if (recorder_sink_ != nullptr) {
+    SGL_TRACE_SPAN(tel, kSpanTickCapture, tick_, 0, 0);
     FlightRecorder::FrameInput fin;
     fin.tick = tick_;
     fin.stats = &last_;
     fin.world = world_;
-    options_.recorder->CaptureTick(fin);
+    fin.tick_clock = &total;
+    last_.total_micros = options_.recorder->CaptureTick(fin);
+  } else {
+    last_.total_micros = total.ElapsedMicros();
   }
   const AllocCounts alloc_after = AllocCountersNow();
   last_.allocs_per_tick = alloc_after.count - alloc_before.count;

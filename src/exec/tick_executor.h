@@ -13,6 +13,8 @@
 //                   partitions: transaction admission, declared update
 //                   rules, then any registered engine components (§2.2)
 //   4 BOOKKEEPING   statistics refresh, adaptive feedback, tick++
+//   5 CAPTURE       an armed flight recorder seals the tick's frame
+//                   (src/telemetry/flight_recorder.h), inside tick time
 //
 // Setting ExecOptions::interpreted runs the identical program object-at-a-
 // time (per-entity scalar evaluation, full scans in accum loops) — the
@@ -104,6 +106,10 @@ struct TickStats {
   /// index layouts make this an O(#indices) capacity sum, cheap enough to
   /// sample every tick.
   int64_t index_memory_bytes = 0;
+  /// Wall time of the whole tick: from RunTick entry through the armed
+  /// flight recorder's capture (TickFrame::total_micros is the same
+  /// figure). Only the alloc-counter read and telemetry publication after
+  /// capture fall outside it.
   int64_t total_micros = 0;
   /// Heap traffic during the tick, across all threads (0 when the counting
   /// hook is compiled out). Steady-state ticks should report ~0.
@@ -195,7 +201,7 @@ class TickExecutor {
   JobService* jobs_or_null() { return jobs_.get(); }
 
   /// Attaches / detaches the effect tracer (§3.3). Null = off.
-  void set_trace(EffectTraceSink* sink) { trace_ = sink; }
+  void set_trace(EffectTracer* tracer) { trace_ = tracer; }
 
  private:
   /// Everything one worker shard reuses across morsels and ticks: its
@@ -228,10 +234,10 @@ class TickExecutor {
   /// SiteCache separately (they are composed, not program-owned, Exprs).
   std::unique_ptr<VmProgramCache> vm_cache_;
   std::unique_ptr<JobService> jobs_;  ///< lazily created, see jobs()
-  EffectTraceSink* trace_ = nullptr;
+  EffectTracer* trace_ = nullptr;
   /// The flight recorder's capture sink for this tick; refreshed at tick
   /// start (null when no recorder is attached or it is disarmed).
-  EffectTraceSink* recorder_sink_ = nullptr;
+  EffectTracer* recorder_sink_ = nullptr;
   Tick tick_ = 0;
   TickStats last_;
   bool initialized_ = false;

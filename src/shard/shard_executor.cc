@@ -75,6 +75,7 @@ void ShardExecutor::EnsureShards() {
     ws->env.telemetry = options_.telemetry;
     // Chrome pid s+1: pid 0 stays the barrier thread's "world" track.
     ws->env.tel_track = static_cast<uint8_t>(s + 1);
+    ws->env.trace_lane = s;
     ws->script_selections.resize(program_->scripts.size());
     ws->handler_rows.resize(program_->handlers.size());
     ws->handler_selections.resize(program_->handlers.size());
@@ -308,6 +309,9 @@ Status ShardExecutor::RunTick() {
   recorder_sink_ = options_.recorder != nullptr
                        ? options_.recorder->capture_sink()
                        : nullptr;
+  for (EffectTracer* t : {trace_, recorder_sink_}) {
+    if (t != nullptr) t->ReserveLanes(S);  // one lane per world shard
+  }
   txn_.set_fault_tick(tick_);
   txn_.set_prov_sink(recorder_sink_);
   txn_.BeginTick(S);
@@ -468,7 +472,6 @@ Status ShardExecutor::RunTick() {
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
-  last_.total_micros = total.ElapsedMicros();
   // Shard skew: slowest-minus-fastest B phase approximates the time the
   // barrier sat waiting on the straggler; imbalance is (max/mean − 1) in
   // basis points. Computed outside the armed-telemetry branch because the
@@ -482,17 +485,21 @@ Status ShardExecutor::RunTick() {
   const int64_t barrier_stall_us = q_min == INT64_MAX ? 0 : q_max - q_min;
   const int64_t imbalance_bp =
       q_sum > 0 ? (q_max * S - q_sum) * 10000 / q_sum : 0;
-  if (options_.recorder != nullptr) {
-    // Before the alloc-count capture below, so frame assembly is held to
-    // the same allocs_per_tick == 0 contract as the tick itself.
+  // Recorder capture: part of the tick (see TickExecutor::RunTick), and
+  // before the alloc-count read below.
+  if (recorder_sink_ != nullptr) {
+    SGL_TRACE_SPAN(tel, kSpanTickCapture, tick_, 0, 0);
     FlightRecorder::FrameInput fin;
     fin.tick = tick_;
     fin.stats = &last_;
     fin.world = world_;
+    fin.tick_clock = &total;
     fin.barrier_stall_us = barrier_stall_us;
     fin.imbalance_bp = imbalance_bp;
     fin.cross_shard_records = static_cast<int64_t>(cross_records_);
-    options_.recorder->CaptureTick(fin);
+    last_.total_micros = options_.recorder->CaptureTick(fin);
+  } else {
+    last_.total_micros = total.ElapsedMicros();
   }
   const AllocCounts alloc_after = AllocCountersNow();
   last_.allocs_per_tick = alloc_after.count - alloc_before.count;

@@ -90,7 +90,7 @@ class ShardExecutor {
   /// Null if no component ever asked for the service.
   JobService* jobs_or_null() { return jobs_.get(); }
 
-  void set_trace(EffectTraceSink* sink) { trace_ = sink; }
+  void set_trace(EffectTracer* tracer) { trace_ = tracer; }
 
   /// Effect records routed across shards last tick (stats / tests).
   size_t last_cross_shard_records() const { return cross_records_; }
@@ -141,10 +141,10 @@ class ShardExecutor {
   /// Compiled bytecode programs (eval_mode == kBytecode); null otherwise.
   std::unique_ptr<VmProgramCache> vm_cache_;
   std::unique_ptr<JobService> jobs_;  ///< lazily created, see jobs()
-  EffectTraceSink* trace_ = nullptr;
+  EffectTracer* trace_ = nullptr;
   /// The flight recorder's capture sink for this tick; refreshed at tick
   /// start (null when no recorder is attached or it is disarmed).
-  EffectTraceSink* recorder_sink_ = nullptr;
+  EffectTracer* recorder_sink_ = nullptr;
   Tick tick_ = 0;
   TickStats last_;
   bool initialized_ = false;

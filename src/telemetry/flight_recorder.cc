@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 #include "src/common/bin_io.h"
 #include "src/debug/checkpoint.h"
@@ -30,7 +31,7 @@ void ClearFrame(TickFrame* f) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
-    : options_(options), tracer_(options.max_lanes) {
+    : options_(options) {
   if (options_.ring_ticks < 1) options_.ring_ticks = 1;
   ring_.resize(static_cast<size_t>(options_.ring_ticks));
   for (TickFrame& f : ring_) ClearFrame(&f);
@@ -44,16 +45,12 @@ void FlightRecorder::set_fault(FaultInjector* fault) {
   last_fault_fires_ = fault != nullptr ? fault->total_fires() : 0;
 }
 
-void FlightRecorder::CaptureTick(const FrameInput& in) {
-  if (!armed_ || in.stats == nullptr || in.world == nullptr) return;
+int64_t FlightRecorder::CaptureTick(const FrameInput& in) {
   TickFrame& f = ring_[static_cast<size_t>(frames_captured_) % ring_.size()];
   f.tick = in.tick;
   f.seq = static_cast<uint64_t>(frames_captured_);
-  f.end_ns = Telemetry::NowNs();
-  f.begin_ns = f.end_ns - in.stats->total_micros * 1000;
 
   const TickStats& st = *in.stats;
-  f.total_micros = st.total_micros;
   f.query_effect_micros = st.query_effect_micros;
   f.merge_micros = st.merge_micros;
   f.update_micros = st.update_micros;
@@ -74,50 +71,62 @@ void FlightRecorder::CaptureTick(const FrameInput& in) {
   for (size_t i = 0; i < ns; ++i) f.sites[i] = st.sites[i];
   f.num_sites = ns;
 
-  // Drain the capture tracer into the frame's pooled record vector.
+  // Drain: each lane's block lands in the frame with one memcpy, and its
+  // after-values resolve while the block is still hot. Past the per-frame
+  // budget records drop. No sort — read paths order records themselves.
+  const size_t recorded = tracer_.size();
+  const size_t keep = std::min(recorded, options_.max_records_per_frame);
+  if (f.records.size() < keep) {
+    // Grow to a power of two, as push_back would, so a slot's capacity
+    // settles above the tick-to-tick jitter of the record volume instead
+    // of reallocating whenever a tick records a few more than the last.
+    size_t slots = 1;
+    while (slots < keep) slots *= 2;
+    f.records.resize(slots);
+    f.after.resize(slots);
+  }
   size_t n = 0;
-  int64_t dropped = 0;
-  const size_t cap = options_.max_records_per_frame;
-  tracer_.ForEachRecord([&](const TraceRecord& r) {
-    if (n >= cap) {
-      ++dropped;
-      return;
-    }
-    if (n == f.records.size()) {
-      f.records.emplace_back();
-    }
-    FrameRecord& fr = f.records[n];
-    fr.rec = r;  // Value copy-assign reuses the slot's set capacity
-    fr.after_known = false;
-    fr.after_set_size = -1;
-    ++n;
+  tracer_.ForEachLane([&](const TraceRecord* data, size_t count) {
+    const size_t take = std::min(count, keep - n);
+    std::copy(data, data + take, f.records.begin() + static_cast<ptrdiff_t>(n));
+    ResolveAfterValues(&f, n, n + take, *in.world);
+    n += take;
   });
   tracer_.Clear();
   f.num_records = n;
-  f.dropped_records = dropped;
-  dropped_records_total_ += dropped;
-  std::sort(f.records.begin(),
-            f.records.begin() + static_cast<ptrdiff_t>(n),
-            [](const FrameRecord& a, const FrameRecord& b) {
-              return TraceRecordCanonicalLess(a.rec, b.rec);
-            });
-  ResolveAfterValues(&f, *in.world);
+  f.dropped_records = static_cast<int64_t>(recorded - n);
+  dropped_records_total_ += f.dropped_records;
+
+  // Seal: the frame's window ends now and spans the whole tick.
+  f.total_micros = in.tick_clock->ElapsedMicros();
+  f.end_ns = Telemetry::NowNs();
+  f.begin_ns = f.end_ns - f.total_micros * 1000;
 
   ++frames_captured_;
   const char* reason = EvaluateTriggers(f);
   if (reason[0] != '\0') TriggerDump(reason, in.tick, in.world);
+  return f.total_micros;
 }
 
-void FlightRecorder::ResolveAfterValues(TickFrame* frame,
-                                        const World& world) {
-  for (size_t i = 0; i < frame->num_records; ++i) {
-    FrameRecord& fr = frame->records[i];
-    const TraceRecord& r = fr.rec;
-    fr.after_known = false;
-    const World::Locator* loc = world.Find(r.target);
-    if (loc == nullptr) continue;  // despawned before capture
-    const EntityTable& table = world.table(loc->cls);
-    if (loc->row >= static_cast<RowIdx>(table.size())) continue;
+void FlightRecorder::ResolveAfterValues(TickFrame* frame, size_t begin,
+                                        size_t end, const World& world) {
+  for (size_t i = begin; i < end; ++i) {
+    const TraceRecord& r = frame->records[i];
+    AfterValue& a = frame->after[i];
+    a = AfterValue();
+    // The row the write landed on still holds the target unless the entity
+    // moved or despawned since; only then probe the directory.
+    ClassId cls_id = r.target_cls;
+    RowIdx row = r.target_row;
+    if (row >= world.table(cls_id).size() ||
+        world.table(cls_id).id_at(row) != r.target) {
+      const World::Locator* loc = world.Find(r.target);
+      if (loc == nullptr) continue;  // despawned before capture
+      cls_id = loc->cls;
+      row = loc->row;
+      if (row >= world.table(cls_id).size()) continue;
+    }
+    const EntityTable& table = world.table(cls_id);
     const ClassDef& cls = table.cls();
     if (r.prov.txn >= 0) {
       // Transaction write: the field lives in state space and the admitted
@@ -126,24 +135,23 @@ void FlightRecorder::ResolveAfterValues(TickFrame* frame,
           static_cast<size_t>(r.field) >= cls.state_fields().size()) {
         continue;
       }
-      const FieldDef& fd = cls.state_field(r.field);
-      fr.after_kind = fd.type.kind;
-      switch (fd.type.kind) {
+      a.kind = cls.state_field(r.field).type.kind;
+      switch (a.kind) {
         case TypeKind::kNumber:
-          fr.after_num = table.Num(r.field)[loc->row];
+          a.num = table.Num(r.field)[row];
           break;
         case TypeKind::kBool:
-          fr.after_bool = table.BoolCol(r.field)[loc->row] != 0;
+          a.b = table.BoolCol(r.field)[row] != 0;
           break;
         case TypeKind::kRef:
-          fr.after_ref = table.RefCol(r.field)[loc->row];
+          a.ref = table.RefCol(r.field)[row];
           break;
         case TypeKind::kSet:
-          fr.after_set_size =
-              static_cast<int64_t>(table.SetCol(r.field)[loc->row].size());
+          a.set_size =
+              static_cast<int64_t>(table.SetCol(r.field)[row].size());
           break;
       }
-      fr.after_known = true;
+      a.known = true;
     } else {
       // Query-phase effect: the merged (post-⊕, finalized) value is still
       // in the effect buffer — ResetEffects runs at the *next* tick start.
@@ -151,26 +159,25 @@ void FlightRecorder::ResolveAfterValues(TickFrame* frame,
           static_cast<size_t>(r.field) >= cls.effect_fields().size()) {
         continue;
       }
-      const EffectBuffer& eb = world.effects(loc->cls);
-      if (!eb.Assigned(r.field, loc->row)) continue;
-      const FieldDef& fd = cls.effect_field(r.field);
-      fr.after_kind = fd.type.kind;
-      switch (fd.type.kind) {
+      const EffectBuffer& eb = world.effects(cls_id);
+      if (!eb.Assigned(r.field, row)) continue;
+      a.kind = cls.effect_field(r.field).type.kind;
+      switch (a.kind) {
         case TypeKind::kNumber:
-          fr.after_num = eb.FinalNumber(r.field, loc->row);
+          a.num = eb.FinalNumber(r.field, row);
           break;
         case TypeKind::kBool:
-          fr.after_bool = eb.FinalBool(r.field, loc->row);
+          a.b = eb.FinalBool(r.field, row);
           break;
         case TypeKind::kRef:
-          fr.after_ref = eb.FinalRef(r.field, loc->row);
+          a.ref = eb.FinalRef(r.field, row);
           break;
         case TypeKind::kSet:
-          fr.after_set_size =
-              static_cast<int64_t>(eb.FinalSet(r.field, loc->row).size());
+          a.set_size =
+              static_cast<int64_t>(eb.FinalSet(r.field, row).size());
           break;
       }
-      fr.after_known = true;
+      a.known = true;
     }
   }
 }
@@ -301,14 +308,21 @@ void FlightRecorder::SerializeProvenanceTail(std::string* out) const {
       frames_captured_ > size ? frames_captured_ - size : 0;
   binio::Append<uint64_t>(out, kProvMagic);
   binio::Append<int64_t>(out, frames_captured_ - first);
+  std::vector<uint32_t> perm;
   for (int64_t s = first; s < frames_captured_; ++s) {
     const TickFrame& f = ring_[static_cast<size_t>(s) % ring_.size()];
     binio::Append<int64_t>(out, f.tick);
     binio::Append<int64_t>(out, f.dropped_records);
     binio::Append<uint64_t>(out, static_cast<uint64_t>(f.num_records));
-    for (size_t i = 0; i < f.num_records; ++i) {
-      const FrameRecord& fr = f.records[i];
-      const TraceRecord& r = fr.rec;
+    // Frames keep capture (lane) order; the section is canonical.
+    perm.resize(f.num_records);
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::sort(perm.begin(), perm.end(), [&f](uint32_t x, uint32_t y) {
+      return TraceRecordCanonicalLess(f.records[x], f.records[y]);
+    });
+    for (const uint32_t i : perm) {
+      const TraceRecord& r = f.records[i];
+      const AfterValue& a = f.after[i];
       binio::Append<int64_t>(out, r.tick);
       binio::Append<EntityId>(out, r.target);
       binio::Append<int32_t>(out, static_cast<int32_t>(r.target_cls));
@@ -320,31 +334,29 @@ void FlightRecorder::SerializeProvenanceTail(std::string* out) const {
       binio::Append<EntityId>(out, r.prov.src_outer);
       binio::Append<EntityId>(out, r.prov.src_inner);
       binio::Append<int64_t>(out, r.prov.txn);
-      // Contribution value: kind tag + canonical payload (set contributions
-      // serialize their cardinality; elements live in the effect stream as
-      // individual ref contributions already).
-      binio::Append<uint8_t>(out, static_cast<uint8_t>(r.value.kind()));
-      switch (r.value.kind()) {
-        case ValueKind::kNumber:
-          binio::Append<double>(out, r.value.AsNumber());
-          break;
+      // Contribution value: kind tag + canonical payload.
+      binio::Append<uint8_t>(out, static_cast<uint8_t>(r.value.kind));
+      switch (r.value.kind) {
         case ValueKind::kBool:
-          binio::Append<uint8_t>(out, r.value.AsBool() ? 1 : 0);
+          binio::Append<uint8_t>(out, r.value.b ? 1 : 0);
           break;
         case ValueKind::kRef:
-          binio::Append<EntityId>(out, r.value.AsRef());
+          binio::Append<EntityId>(out, r.value.ref);
           break;
-        case ValueKind::kSet:
-          binio::Append<int64_t>(out,
-                                 static_cast<int64_t>(r.value.AsSet().size()));
+        default:
+          binio::Append<double>(out, r.value.num);
           break;
       }
-      binio::Append<uint8_t>(out, fr.after_known ? 1 : 0);
-      binio::Append<uint8_t>(out, static_cast<uint8_t>(fr.after_kind));
-      binio::Append<double>(out, fr.after_num);
-      binio::Append<uint8_t>(out, fr.after_bool ? 1 : 0);
-      binio::Append<EntityId>(out, fr.after_ref);
-      binio::Append<int64_t>(out, fr.after_set_size);
+      // After-value: every payload slot is written, the inactive ones as
+      // fixed defaults, so the bytes depend only on the record.
+      binio::Append<uint8_t>(out, a.known ? 1 : 0);
+      binio::Append<uint8_t>(out, static_cast<uint8_t>(a.kind));
+      binio::Append<double>(out, a.kind == TypeKind::kNumber ? a.num : 0.0);
+      binio::Append<uint8_t>(out, a.kind == TypeKind::kBool && a.b ? 1 : 0);
+      binio::Append<EntityId>(
+          out, a.kind == TypeKind::kRef ? a.ref : kNullEntity);
+      binio::Append<int64_t>(out,
+                             a.kind == TypeKind::kSet ? a.set_size : -1);
     }
   }
 }

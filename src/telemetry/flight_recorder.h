@@ -6,21 +6,28 @@
 //   * scalar stats (phase micros, job counters, txn stats — a TickStats
 //     subset, plus the sharded pipeline's stall/imbalance gauges),
 //   * per-site attribution rows (the SiteFeedback vector, pooled copy),
-//   * canonical effect records with provenance tags (site id, ⊕/intent
+//   * every effect record with its provenance tags (site id, ⊕/intent
 //     order key, txn id, source rows, source shard) and each record's
 //     *resolved after-value* — the post-merge effect value or the
 //     post-write-back state value of the written field,
 //   * a wall-clock window (for span extraction into dumps).
 //
 // Capture path (armed): the executors fan every effect write into the
-// recorder's internal watch-all EffectTracer (pooled per-worker lanes);
-// at tick bookkeeping — before the executor reads the allocation counters,
-// so frame assembly is held to the allocs_per_tick == 0 contract — the
-// records drain into the current frame's pooled vector, sort with
-// TraceRecordCanonicalLess, and after-values resolve from the world.
-// Frames wrap-overwrite (newest wins) with eviction accounting; record
-// overflow within a frame truncates with drop accounting. Disarmed: one
-// branch per tick in the executor plus one null check per effect write.
+// recorder's internal watch-all EffectTracer — a plain store of one
+// trivially copyable TraceRecord into the writing worker slot's pooled
+// lane. At tick bookkeeping — inside the tick's time (the `tick.capture`
+// span, counted in TickStats::total_micros) and before the executor reads
+// the allocation counters, so frame assembly is held to the
+// allocs_per_tick == 0 contract — each lane drains into the current
+// frame's pooled record vector with one memcpy, and each record's
+// after-value resolves from the world (it has to happen now: the next
+// tick overwrites the effect buffers and state). Nothing is sorted at
+// capture: frames keep lane order, and canonical order is built at read
+// time — ProvenanceIndex sorts a per-frame permutation on first query, and
+// SerializeProvenanceTail sorts one when a dump is written. Frames
+// wrap-overwrite (newest wins) with eviction accounting; record overflow
+// within a frame truncates with drop accounting. Disarmed: one branch per
+// tick in the executor plus one null check per effect write.
 //
 // Black-box triggers: after each capture the trigger engine checks
 //   * tick time > anomaly_p95_factor × rolling p95 over the ring,
@@ -50,6 +57,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/stopwatch.h"
 #include "src/common/types.h"
 #include "src/debug/tracer.h"
 #include "src/exec/tick_executor.h"
@@ -69,8 +77,6 @@ struct FlightRecorderOptions {
   int ring_ticks = 16;
   /// Per-frame record budget; beyond it records drop (dropped_records()).
   size_t max_records_per_frame = 1 << 16;
-  /// Worker lanes of the internal capture tracer (threads beyond this drop).
-  int max_lanes = 64;
 
   // --- Black-box triggers (0 / false = disabled) -------------------------
   /// Fire when tick total µs exceeds `factor × p95` of the in-ring frames.
@@ -90,20 +96,20 @@ struct FlightRecorderOptions {
   Tick dump_cooldown_ticks = 16;
 };
 
-/// One captured effect record plus its resolved after-value. `rec.value`
-/// is the *contribution* (the assigned/⊕-combined operand); `after_*` is
-/// the field's final value at end of tick — the merged effect value for
-/// query-phase records, the post-write-back state value for txn records.
-/// Set-typed after-values record the set's size, never a boxed EntitySet
-/// (the one Value variant whose copy can allocate).
-struct FrameRecord {
-  TraceRecord rec;
-  bool after_known = false;  ///< false: target despawned / row unresolvable
-  TypeKind after_kind = TypeKind::kNumber;
-  double after_num = 0.0;
-  EntityId after_ref = kNullEntity;
-  bool after_bool = false;
-  int64_t after_set_size = -1;
+/// A captured record's resolved after-value: the field's final value at
+/// end of tick — the merged effect value for query-phase records, the
+/// post-write-back state value for txn records (the record's own `value`
+/// is the *contribution*, the assigned/⊕-combined operand). Set-typed
+/// fields record the set's size, never a boxed EntitySet.
+struct AfterValue {
+  bool known = false;  ///< false: target despawned / row unresolvable
+  TypeKind kind = TypeKind::kNumber;
+  union {
+    double num = 0.0;  ///< kNumber
+    bool b;            ///< kBool
+    EntityId ref;      ///< kRef
+    int64_t set_size;  ///< kSet
+  };
 };
 
 /// One ring slot: everything the recorder kept about one tick.
@@ -112,9 +118,14 @@ struct TickFrame {
   uint64_t seq = 0;    ///< capture sequence (wrap generation)
   int64_t begin_ns = 0, end_ns = 0;  ///< wall-clock window (Telemetry epoch)
 
+  /// Wall time of the whole tick through the end of this frame's capture
+  /// (drain + after-value resolution) — the same figure the executor
+  /// reports as TickStats::total_micros, and what the p95 anomaly trigger
+  /// compares. begin_ns = end_ns - total_micros * 1000. A black-box dump
+  /// the trigger writes happens after the frame is sealed and is not in it.
+  int64_t total_micros = 0;
   // Scalar stats copied from TickStats (alloc counters excluded: they are
   // read *after* capture, by design).
-  int64_t total_micros = 0;
   int64_t query_effect_micros = 0;
   int64_t merge_micros = 0;
   int64_t update_micros = 0;
@@ -134,9 +145,12 @@ struct TickFrame {
   std::vector<SiteFeedback> sites;
   size_t num_sites = 0;  ///< used prefix of `sites`
 
-  /// Canonically sorted records; `num_records` is the used prefix (the
-  /// vector is pooled and never shrinks).
-  std::vector<FrameRecord> records;
+  /// The tick's effect records in capture (lane) order — not sorted; read
+  /// paths build canonical order themselves. `after[i]` is `records[i]`'s
+  /// resolved after-value. `num_records` is the used prefix of both (the
+  /// vectors are pooled and never shrink).
+  std::vector<TraceRecord> records;
+  std::vector<AfterValue> after;
   size_t num_records = 0;
   int64_t dropped_records = 0;  ///< truncated past max_records_per_frame
 };
@@ -165,25 +179,27 @@ class FlightRecorder {
 
   /// The effect-write sink the executors fan into this tick (null when
   /// disarmed — the executors re-read this every tick).
-  EffectTraceSink* capture_sink() {
-    return armed_ ? static_cast<EffectTraceSink*>(&tracer_) : nullptr;
-  }
+  EffectTracer* capture_sink() { return armed_ ? &tracer_ : nullptr; }
 
   /// One tick's capture input, filled by the executor at bookkeeping time.
   struct FrameInput {
     Tick tick = 0;
-    const TickStats* stats = nullptr;
+    const TickStats* stats = nullptr;  ///< total_micros not yet set
     const World* world = nullptr;
+    /// Started when the tick started; read once the frame is assembled.
+    const Stopwatch* tick_clock = nullptr;
     /// Sharded pipeline only; TickExecutor leaves the defaults.
     int64_t barrier_stall_us = -1;
     int64_t imbalance_bp = 0;
     int64_t cross_shard_records = 0;
   };
 
-  /// Seals the current tick into a ring frame (drain + canonical sort +
-  /// after-value resolution), then evaluates the dump triggers.
-  /// Allocation-free at the high-water mark. No-op when disarmed.
-  void CaptureTick(const FrameInput& in);
+  /// Seals the current tick into a ring frame (lane drain + after-value
+  /// resolution, no sort), stamps it with the tick's total time read from
+  /// `in.tick_clock`, then evaluates the dump triggers. Returns that total
+  /// (µs) so the executor reports the same figure. Allocation-free at the
+  /// high-water mark. Call only when the recorder was armed at tick start.
+  int64_t CaptureTick(const FrameInput& in);
 
   /// Crash-recovery notification (Engine::Restore). Records the restore
   /// tick and, with dump_on_restore set, writes a "crash.restore" dump.
@@ -203,8 +219,9 @@ class FlightRecorder {
   const FlightRecorderOptions& options() const { return options_; }
 
   /// Deterministic serialization of every in-ring frame's records
-  /// (oldest → newest): the dump's provenance section. binio format, no
-  /// wall-clock content.
+  /// (oldest → newest, each frame in TraceRecordCanonicalLess order, sorted
+  /// here through a permutation): the dump's provenance section. binio
+  /// format, no wall-clock content. Allocates (dump time only).
   void SerializeProvenanceTail(std::string* out) const;
 
   // --- Accounting --------------------------------------------------------
@@ -220,7 +237,9 @@ class FlightRecorder {
   const std::string& last_trigger() const { return last_trigger_; }
 
  private:
-  void ResolveAfterValues(TickFrame* frame, const World& world);
+  /// Resolves `after[i]` for records [begin, end) of `frame`.
+  static void ResolveAfterValues(TickFrame* frame, size_t begin, size_t end,
+                                 const World& world);
   /// Evaluates triggers for the just-captured frame; returns the reason
   /// ("" = none).
   const char* EvaluateTriggers(const TickFrame& frame);

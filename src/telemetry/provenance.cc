@@ -7,7 +7,7 @@ namespace sgl {
 
 namespace {
 
-/// (target, field) key of a frame record — the index's sort key.
+/// (target, field) key of a frame record — the run key of the index.
 struct RecKey {
   EntityId target;
   FieldIdx field;
@@ -18,23 +18,31 @@ bool KeyLess(const RecKey& a, const RecKey& b) {
   return a.field < b.field;
 }
 
-RecKey KeyOf(const FrameRecord& fr) {
-  return RecKey{fr.rec.target, fr.rec.field};
+RecKey KeyOf(const TraceRecord& r) { return RecKey{r.target, r.field}; }
+
+/// The index's full sort key: (target, field) runs, each in canonical
+/// chain order (phase [query < txn], order_key, assign_id) — the order
+/// TraceRecordCanonicalLess gives records of one (tick, target, field).
+bool ChainLess(const TraceRecord& a, const TraceRecord& b) {
+  if (a.target != b.target) return a.target < b.target;
+  if (a.field != b.field) return a.field < b.field;
+  return TraceRecordCanonicalLess(a, b);
 }
 
-ProvValue AfterOf(const FrameRecord& fr) {
+ProvValue ProvValueOf(const AfterValue& a) {
   ProvValue v;
-  v.known = fr.after_known;
-  v.kind = fr.after_kind;
-  v.num = fr.after_num;
-  v.b = fr.after_bool;
-  v.ref = fr.after_ref;
-  v.set_size = fr.after_set_size;
+  v.known = a.known;
+  v.kind = a.kind;
+  switch (a.kind) {
+    case TypeKind::kNumber: v.num = a.num; break;
+    case TypeKind::kBool: v.b = a.b; break;
+    case TypeKind::kRef: v.ref = a.ref; break;
+    case TypeKind::kSet: v.set_size = a.set_size; break;
+  }
   return v;
 }
 
-ProvStep StepOf(const FrameRecord& fr) {
-  const TraceRecord& r = fr.rec;
+ProvStep StepOf(const TraceRecord& r) {
   ProvStep s;
   s.tick = r.tick;
   s.site = r.prov.site;
@@ -45,20 +53,11 @@ ProvStep StepOf(const FrameRecord& fr) {
   s.src_shard = r.prov.src_shard;
   s.src_outer = r.prov.src_outer;
   s.src_inner = r.prov.src_inner;
-  s.contrib_kind = r.value.kind();
+  s.contrib_kind = r.value.kind;
   switch (s.contrib_kind) {
-    case ValueKind::kNumber:
-      s.contrib_num = r.value.AsNumber();
-      break;
-    case ValueKind::kBool:
-      s.contrib_bool = r.value.AsBool();
-      break;
-    case ValueKind::kRef:
-      s.contrib_ref = r.value.AsRef();
-      break;
-    case ValueKind::kSet:
-      s.contrib_set_size = static_cast<int64_t>(r.value.AsSet().size());
-      break;
+    case ValueKind::kBool: s.contrib_bool = r.value.b; break;
+    case ValueKind::kRef: s.contrib_ref = r.value.ref; break;
+    default: s.contrib_num = r.value.num; break;
   }
   return s;
 }
@@ -69,8 +68,7 @@ std::pair<size_t, size_t> EqualRun(const TickFrame& f,
                                    EntityId entity, FieldIdx field) {
   const RecKey want{entity, field};
   const auto lo = std::lower_bound(
-      perm.begin(), perm.end(), want,
-      [&](uint32_t pos, const RecKey& k) {
+      perm.begin(), perm.end(), want, [&](uint32_t pos, const RecKey& k) {
         return KeyLess(KeyOf(f.records[pos]), k);
       });
   const auto hi = std::upper_bound(
@@ -120,13 +118,13 @@ const ProvenanceIndex::FrameIndex* ProvenanceIndex::IndexFor(
     slot.tick = f->tick;
     slot.perm.resize(f->num_records);
     std::iota(slot.perm.begin(), slot.perm.end(), 0u);
-    // The frame is already canonically sorted, so a stable sort by
-    // (target, field) leaves every equal run in canonical chain order.
-    std::stable_sort(slot.perm.begin(), slot.perm.end(),
-                     [f](uint32_t a, uint32_t b) {
-                       return KeyLess(KeyOf(f->records[a]),
-                                      KeyOf(f->records[b]));
-                     });
+    // Frames keep capture (lane) order, so the permutation sorts by the
+    // full key: every (target, field) run comes out in canonical chain
+    // order whatever worker slot recorded what.
+    std::sort(slot.perm.begin(), slot.perm.end(),
+              [f](uint32_t a, uint32_t b) {
+                return ChainLess(f->records[a], f->records[b]);
+              });
   }
   *status = ProvStatus::kOk;
   return &slot;
@@ -157,7 +155,7 @@ WhyResult ProvenanceIndex::WhyDidChange(EntityId entity, FieldIdx field,
   for (size_t i = run.first; i < run.second; ++i) {
     out.steps.push_back(StepOf(f->records[idx->perm[i]]));
   }
-  out.after = AfterOf(f->records[idx->perm[run.second - 1]]);
+  out.after = ProvValueOf(f->after[idx->perm[run.second - 1]]);
   // Before-value: the latest earlier in-ring frame that wrote the same
   // (entity, field). In-ring frames are contiguous in tick, so the walk
   // stops at the first missing frame.
@@ -169,7 +167,7 @@ WhyResult ProvenanceIndex::WhyDidChange(EntityId entity, FieldIdx field,
     if (gidx == nullptr) break;
     const auto grun = EqualRun(*g, gidx->perm, entity, field);
     if (grun.first == grun.second) continue;
-    out.before = AfterOf(g->records[gidx->perm[grun.second - 1]]);
+    out.before = ProvValueOf(g->after[gidx->perm[grun.second - 1]]);
     break;
   }
   return out;
@@ -216,7 +214,7 @@ ExplainResult ProvenanceIndex::ExplainTick(Tick tick) const {
     r.effects += fb.effects;
   }
   for (size_t i = 0; i < f->num_records; ++i) {
-    ++row_for(f->records[i].rec.prov.site).records;
+    ++row_for(f->records[i].prov.site).records;
   }
   std::sort(out.sites.begin(), out.sites.end(),
             [](const ExplainSiteRow& a, const ExplainSiteRow& b) {

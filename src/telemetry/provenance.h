@@ -9,11 +9,14 @@
 // after-value) and after the tick. ExplainTick(t) returns the tick's
 // per-phase / per-site breakdown with per-site record counts.
 //
-// Both answer from flat per-frame indexes: a sorted permutation of the
-// frame's records keyed by (target, field) — CSR-style, one contiguous run
-// per written field — built lazily per frame *off the hot path* and cached
-// by frame sequence number, so repeated queries over one frame binary-search
-// instead of rescanning. Correctness is verified differentially against a
+// Both answer from flat per-frame indexes. Frames store records in capture
+// (lane) order — the recorder sorts nothing on the tick — so the canonical
+// order is built here, at read time: a permutation of the frame's records
+// sorted by (target, field, phase, order_key, assign_id) — CSR-style, one
+// contiguous run per written field, each run already in canonical chain
+// order. It is built lazily on a frame's first query, *off the hot path*,
+// and cached by frame sequence number, so repeated queries over one frame
+// binary-search instead of rescanning or re-sorting. Correctness is verified differentially against a
 // brute-force scan of the full effect stream (tests/telemetry_flight_test).
 //
 // Eviction is honest: a tick that fell off the ring reports kEvicted, never
@@ -53,12 +56,12 @@ struct ProvStep {
   int32_t src_shard = 0;      ///< topology attribution, NOT causal content
   EntityId src_outer = kNullEntity;  ///< issuing/outer source row
   EntityId src_inner = kNullEntity;  ///< inner join row (kNullEntity = none)
-  /// The contribution (the ⊕ operand / intent delta), not the final value.
+  /// The contribution (the ⊕ operand / intent delta / inserted element),
+  /// not the final value: number, bool or ref.
   ValueKind contrib_kind = ValueKind::kNumber;
   double contrib_num = 0.0;
   bool contrib_bool = false;
   EntityId contrib_ref = kNullEntity;
-  int64_t contrib_set_size = -1;  ///< only for set-typed contributions
 };
 
 /// A resolved field value (before/after snapshots in query results).
@@ -132,7 +135,8 @@ class ProvenanceIndex {
 
  private:
   /// Sorted-permutation index of one frame: record positions ordered by
-  /// (target, field); one contiguous run per written field (flat CSR).
+  /// (target, field, phase, order_key, assign_id); one contiguous run per
+  /// written field (flat CSR), each run in canonical chain order.
   struct FrameIndex {
     uint64_t seq = ~uint64_t{0};
     Tick tick = -1;

@@ -25,9 +25,9 @@ const char* SpanSiteName(uint64_t id) {
       kSpanTickTotal,     kSpanTickSelect,  kSpanTickSitePrep,
       kSpanTickQuery,     kSpanTickMerge,   kSpanTickFinalize,
       kSpanTickInstall,   kSpanTickUpdate,  kSpanTickMigrate,
-      kSpanShardRun,      kSpanTickBarrier, kSpanMailboxFlip,
-      kSpanMailboxReplay, kSpanSiteQuery,   kSpanSiteProbe,
-      kSpanJobRun,        kSpanVmCompile,
+      kSpanTickCapture,   kSpanShardRun,    kSpanTickBarrier,
+      kSpanMailboxFlip,   kSpanMailboxReplay, kSpanSiteQuery,
+      kSpanSiteProbe,     kSpanJobRun,      kSpanVmCompile,
   };
   for (const SpanSite& s : kSites) {
     if (s.id == id) return s.name;

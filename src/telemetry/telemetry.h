@@ -89,6 +89,9 @@ inline constexpr SpanSite kSpanTickFinalize =
 inline constexpr SpanSite kSpanTickInstall = MakeSpanSite("tick.install");
 inline constexpr SpanSite kSpanTickUpdate = MakeSpanSite("tick.update");
 inline constexpr SpanSite kSpanTickMigrate = MakeSpanSite("tick.migrate");
+// The armed flight recorder's per-tick capture (drain + after-value
+// resolution), inside tick.total and counted in TickStats::total_micros.
+inline constexpr SpanSite kSpanTickCapture = MakeSpanSite("tick.capture");
 // shard: the sharded pipeline's B phase and barrier internals
 // (src/shard/shard_executor.cc).
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");

@@ -1,148 +1,81 @@
-// WorkerLanes<Record>: per-worker pooled append lanes with a lock-free
-// record path (src/telemetry/).
+// WorkerLanes<Record>: per-worker-slot pooled append lanes
+// (src/telemetry/).
 //
-// The shape the span rings use, generalized for variable-volume records
-// (e.g. EffectTracer's TraceRecords): each recording thread binds one
-// preallocated lane on first append (thread-local cache, no lock) and is
-// its only writer. A lane is a pooled vector plus a release-published
-// count: Append() overwrites slot `count` when capacity allows and
-// publishes `count + 1`, so after warmup the hot path touches no lock and
-// allocates nothing — growth past the high-water mark is an amortized
-// push_back, and Clear() resets counts while keeping every lane's
-// capacity.
+// The executors hand every parallel unit of query-phase work a fixed
+// worker slot — TickExecutor's ParallelFor index (which owns a fixed set of
+// morsels), ShardExecutor's shard id — and slot s appends only to lane s.
+// Which OS thread claims a slot changes from tick to tick; the work a slot
+// records does not. So each lane's high-water capacity is a property of
+// the workload, and once every lane has reached it Append() is a capacity
+// check plus a plain store: no lock, no allocation. Clear() empties every
+// lane and keeps its capacity.
 //
 // Contracts:
-//   * Single writer per lane (enforced by the thread binding). Readers
-//     (ForEach / size) may run concurrently and see only published
-//     records; they are expected to run at a quiescent point (the tick
-//     barrier) for a complete view.
-//   * Clear() must run quiesced (no concurrent appends).
-//   * Up to kMaxLiveInstances live WorkerLanes per Record type per thread:
-//     the thread-local binding caches that many (instance, lane) pairs, so
-//     a user EffectTracer and the flight recorder's internal tracer can
-//     both be armed without burning lane indexes on every alternation. A
-//     thread alternating among *more* live instances evicts round-robin
-//     and burns a fresh lane index per re-bind. Engine usage never does
-//     this.
-//   * Threads beyond `max_lanes` drop their records (dropped() counts).
+//   * Reserve(n) runs on the barrier thread between ticks, before any
+//     slot in [0, n) appends; it allocates only when it grows.
+//   * One writer per lane at a time. Readers (ForEachLane / size) and
+//     Clear() run at a quiescent point (the tick barrier).
 
 #ifndef SGL_TELEMETRY_WORKER_LANES_H_
 #define SGL_TELEMETRY_WORKER_LANES_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
+#include <type_traits>
 #include <vector>
+
+#include "src/common/types.h"
 
 namespace sgl {
 
 template <typename Record>
 class WorkerLanes {
+  static_assert(std::is_trivially_copyable_v<Record>,
+                "lanes drain by memcpy");
+
  public:
-  explicit WorkerLanes(int max_lanes = 64)
-      : lanes_(static_cast<size_t>(max_lanes > 0 ? max_lanes : 1)) {
-    instance_id_ = NextInstanceId();
+  /// Makes lanes [0, n) available.
+  void Reserve(int n) {
+    if (n > static_cast<int>(lanes_.size())) {
+      lanes_.resize(static_cast<size_t>(n));
+    }
   }
-  WorkerLanes(const WorkerLanes&) = delete;
-  WorkerLanes& operator=(const WorkerLanes&) = delete;
+  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
-  /// Appends a copy of `r` to the calling thread's lane. Allocation-free
-  /// once the lane has reached its high-water capacity.
-  void Append(const Record& r) {
-    Lane* lane = LaneForThread();
-    if (lane == nullptr) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const size_t n = lane->count.load(std::memory_order_relaxed);
-    if (n == lane->records.size()) {
-      lane->records.push_back(r);
-    } else {
-      lane->records[n] = r;
-    }
-    lane->count.store(n + 1, std::memory_order_release);
+  /// Appends `r` to lane `lane`. Allocation-free once the lane has reached
+  /// its high-water capacity.
+  void Append(int lane, const Record& r) {
+    SGL_DCHECK(lane >= 0 && lane < num_lanes());
+    lanes_[static_cast<size_t>(lane)].records.push_back(r);
   }
 
-  /// Published records across all lanes.
+  /// Records across all lanes.
   size_t size() const {
     size_t n = 0;
-    for (const Lane& lane : lanes_) {
-      n += lane.count.load(std::memory_order_acquire);
-    }
+    for (const Lane& lane : lanes_) n += lane.records.size();
     return n;
   }
 
-  /// Visits every published record, lane-major. Quiescent-point API.
+  /// Visits each lane's records as one contiguous block, lane-major:
+  /// `fn(const Record* data, size_t count)`.
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
+  void ForEachLane(Fn&& fn) const {
     for (const Lane& lane : lanes_) {
-      const size_t c = lane.count.load(std::memory_order_acquire);
-      for (size_t i = 0; i < c; ++i) fn(lane.records[i]);
+      fn(lane.records.data(), lane.records.size());
     }
   }
 
-  /// Resets every lane's count, keeping capacity (pooled reuse). Must run
-  /// quiesced.
+  /// Empties every lane, keeping capacity (pooled reuse).
   void Clear() {
-    for (Lane& lane : lanes_) {
-      lane.count.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
+    for (Lane& lane : lanes_) lane.records.clear();
   }
 
  private:
-  struct Lane {
+  /// Cache-line aligned so workers appending to neighbouring lanes do not
+  /// share the line holding each other's end pointers.
+  struct alignas(64) Lane {
     std::vector<Record> records;
-    std::atomic<size_t> count{0};
   };
-  /// Live instances one thread can record into without re-binding (see
-  /// header contract). 2 covers the engine's worst case (user tracer +
-  /// flight-recorder tracer); 4 leaves headroom for tests.
-  static constexpr int kMaxLiveInstances = 4;
-  struct Binding {
-    uint64_t owner = 0;
-    Lane* lane = nullptr;
-  };
-  struct Bindings {
-    Binding entries[kMaxLiveInstances];
-    int next_evict = 0;
-  };
-
-  static uint64_t NextInstanceId() {
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  Lane* LaneForThread() {
-    static thread_local Bindings tls;  // per (Record type, thread)
-    for (const Binding& b : tls.entries) {
-      if (b.owner == instance_id_) return b.lane;
-    }
-    const int idx = next_lane_.fetch_add(1, std::memory_order_relaxed);
-    Binding* slot = nullptr;
-    for (Binding& b : tls.entries) {
-      if (b.owner == 0) {
-        slot = &b;
-        break;
-      }
-    }
-    if (slot == nullptr) {  // all occupied (likely by dead instances): rotate
-      slot = &tls.entries[tls.next_evict];
-      tls.next_evict = (tls.next_evict + 1) % kMaxLiveInstances;
-    }
-    slot->owner = instance_id_;
-    slot->lane = idx < static_cast<int>(lanes_.size())
-                     ? &lanes_[static_cast<size_t>(idx)]
-                     : nullptr;
-    return slot->lane;
-  }
-
-  std::vector<Lane> lanes_;  ///< sized once (atomics are not movable)
-  uint64_t instance_id_ = 0;
-  std::atomic<int> next_lane_{0};
-  std::atomic<int64_t> dropped_{0};
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace sgl

@@ -78,6 +78,7 @@ void TxnEngine::ApplyUpdate(World* world) {
     const TxnIntent& intent = log.intent(ref.index);
     const TxnResolvedWrite* writes = log.writes(intent);
     undo_.clear();
+    prov_rows_.clear();
     bool applicable = true;
 
     // Tentatively apply the intent's write slice.
@@ -88,6 +89,7 @@ void TxnEngine::ApplyUpdate(World* world) {
         applicable = false;  // dangling target: abort
         break;
       }
+      if (prov_sink_ != nullptr) prov_rows_.push_back(loc->row);
       if (w.op == TxnWriteOp::kAddDelta) {
         bool fresh;
         double* slot = overlay_.MutableNum(loc->cls, loc->row, w.field,
@@ -218,19 +220,25 @@ void TxnEngine::ApplyUpdate(World* world) {
         // value is the write's *contribution* (delta / inserted element /
         // new ref), not the folded overlay state; field indexes are in
         // state-field space (prov.txn >= 0 marks the namespace).
-        EffectProv prov;
-        prov.site = static_cast<int32_t>(intent.order_key >> 32);
-        prov.src_shard = static_cast<int32_t>(ref.shard);
-        prov.src_outer = intent.issuer;
-        prov.txn = static_cast<int64_t>(intent.order_key);
+        TraceRecord rec;
+        rec.tick = fault_tick_;
+        rec.order_key = intent.order_key;
+        rec.prov.site = static_cast<int32_t>(intent.order_key >> 32);
+        rec.prov.src_shard = static_cast<int32_t>(ref.shard);
+        rec.prov.src_outer = intent.issuer;
+        rec.prov.txn = static_cast<int64_t>(intent.order_key);
         for (uint32_t wi = 0; wi < intent.num_writes; ++wi) {
           const TxnResolvedWrite& w = writes[wi];
-          const Value v = w.op == TxnWriteOp::kAddDelta
-                              ? Value::Number(w.num)
-                              : Value::Ref(w.ref);
-          prov_sink_->OnEffectAssign(fault_tick_, w.target, w.cls, w.field,
-                                     v, static_cast<int>(wi),
-                                     intent.order_key, prov);
+          rec.target = w.target;
+          rec.target_row = prov_rows_[wi];
+          rec.target_cls = w.cls;
+          rec.field = w.field;
+          rec.assign_id = static_cast<int>(wi);
+          rec.value = w.op == TxnWriteOp::kAddDelta ? TraceValue::Number(w.num)
+                                                    : TraceValue::Ref(w.ref);
+          // Admission runs on the barrier thread after the query-phase
+          // workers joined, so lane 0 has no concurrent writer.
+          prov_sink_->OnEffectAssign(/*lane=*/0, rec);
         }
       }
     }

@@ -28,7 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/debug/trace.h"
+#include "src/debug/tracer.h"
 #include "src/lang/compiler.h"
 #include "src/ra/eval.h"
 #include "src/storage/world.h"
@@ -143,8 +143,9 @@ class TxnEngine {
   /// resolved write, tagged with the intent's order key as `prov.txn` —
   /// the "which transaction wrote this state field" half of
   /// WhyDidChange. Admission is single-threaded (update phase), so the
-  /// sink sees barrier-thread calls only. Set by the executor per tick.
-  void set_prov_sink(EffectTraceSink* sink) { prov_sink_ = sink; }
+  /// sink sees barrier-thread calls only, on lane 0. Set by the executor
+  /// per tick.
+  void set_prov_sink(EffectTracer* sink) { prov_sink_ = sink; }
   /// True exactly once after an injected mid-admission crash: admission
   /// stopped partway, committed overlay values were still written back
   /// (a deliberately torn update), and unprocessed issuers kept status -1.
@@ -184,12 +185,15 @@ class TxnEngine {
 
   const CompiledProgram* program_;
   FaultInjector* fault_ = nullptr;
-  EffectTraceSink* prov_sink_ = nullptr;
+  EffectTracer* prov_sink_ = nullptr;
   Tick fault_tick_ = 0;
   bool injected_crash_ = false;
   std::vector<TxnIntentLog> shards_;
   std::vector<IntentRef> order_;  ///< reused admission-order buffer
   std::vector<Undo> undo_;        ///< reused per-intent rollback log
+  /// Per-intent target rows of the applied writes (provenance row hints;
+  /// filled only while a provenance sink is attached).
+  std::vector<RowIdx> prov_rows_;
   StateOverlay overlay_;
   TxnStats total_;
   TxnStats last_tick_;

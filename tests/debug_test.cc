@@ -73,7 +73,7 @@ TEST(Tracer, RecordsEffectsForWatchedEntityOnly) {
   int damage_assignments = 0;
   for (const TraceRecord& rec : records) {
     EXPECT_EQ(*a, rec.target);
-    if (rec.value == Value::Number(0.5)) ++damage_assignments;
+    if (rec.value.ToValue() == Value::Number(0.5)) ++damage_assignments;
   }
   EXPECT_EQ(2, damage_assignments);
   // Nothing recorded for b.
@@ -97,7 +97,7 @@ TEST(Tracer, ParallelExecutionYieldsSameTrace) {
     EXPECT_TRUE((*engine)->Tick().ok());
     std::vector<std::pair<uint64_t, std::string>> summary;
     for (const TraceRecord& rec : tracer.RecordsFor(ids[5], 0)) {
-      summary.emplace_back(rec.order_key, rec.value.ToString());
+      summary.emplace_back(rec.order_key, rec.value.ToValue().ToString());
     }
     return summary;
   };

@@ -9,7 +9,10 @@
 //     (is_txn steps carrying intent order keys).
 //   * Chain determinism: serialized chains bit-identical across
 //     {serial, 4-thread, 4-shard × 4-thread} and across eval / probe
-//     modes, with the src_shard topology tag zeroed before comparing.
+//     modes, with the src_shard topology tag zeroed before comparing;
+//     frames keep capture order, so the canonical views (the dump's
+//     provenance tail and WhyDidChange chains) are checked for order and
+//     for identity across {1, 4 threads} × {1, 3 shards}.
 //   * Eviction honesty: a wrapped-out tick reports kEvicted, a frame that
 //     dropped records reports kTruncated — never a wrong chain.
 //   * Black-box dumps: fault-fire trigger, cooldown suppression, rotation,
@@ -18,8 +21,10 @@
 //     crash/recover differential producing byte-identical dump files.
 //   * The armed steady-state contract: allocs_per_tick == 0 with the
 //     recorder capturing every effect write (serial / threaded / sharded,
-//     with and without a user tracer sharing the fan-out), and world
-//     checksums bit-identical armed vs disarmed.
+//     with and without a user tracer sharing the fan-out, and the
+//     transaction-heavy market), and world checksums bit-identical armed
+//     vs disarmed.
+//   * Honest tick time: TickStats::total_micros includes the capture.
 //   * Satellites: counter ("C") lanes in DumpChromeTrace,
 //     DescribeSitesJson round-trip, MetricsRegistry::Reset.
 
@@ -27,15 +32,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/alloc_hook.h"
+#include "src/common/bin_io.h"
 #include "src/common/rng.h"
 #include "src/debug/checkpoint.h"
 #include "src/debug/checkpoint_file.h"
@@ -334,6 +343,93 @@ std::string ChainToString(const WhyResult& why, bool zero_shard) {
   return out;
 }
 
+// One frame of a parsed SerializeProvenanceTail section.
+struct TailFrame {
+  Tick tick = -1;
+  int64_t dropped = 0;
+  std::vector<TraceRecord> records;  ///< in serialized order
+  std::vector<size_t> shard_offsets;  ///< byte offset of each src_shard tag
+};
+
+// Parses the provenance-section layout FlightRecorder writes (magic, frame
+// count, per frame tick/dropped/count, per record the fixed fields, the
+// contribution and the after-value).
+std::vector<TailFrame> ParseProvenanceTail(const std::string& tail) {
+  std::vector<TailFrame> frames;
+  const char* const begin = tail.data();
+  const char* cur = begin;
+  const char* const end = begin + tail.size();
+  uint64_t magic = 0;
+  int64_t nframes = 0;
+  EXPECT_TRUE(binio::Read(&cur, end, &magic));
+  EXPECT_TRUE(binio::Read(&cur, end, &nframes));
+  for (int64_t fi = 0; fi < nframes; ++fi) {
+    TailFrame f;
+    uint64_t n = 0;
+    EXPECT_TRUE(binio::Read(&cur, end, &f.tick));
+    EXPECT_TRUE(binio::Read(&cur, end, &f.dropped));
+    EXPECT_TRUE(binio::Read(&cur, end, &n));
+    for (uint64_t i = 0; i < n; ++i) {
+      TraceRecord r;
+      int32_t cls = 0, field = 0, assign = 0;
+      bool ok = binio::Read(&cur, end, &r.tick) &&
+                binio::Read(&cur, end, &r.target) &&
+                binio::Read(&cur, end, &cls) &&
+                binio::Read(&cur, end, &field) &&
+                binio::Read(&cur, end, &assign) &&
+                binio::Read(&cur, end, &r.order_key) &&
+                binio::Read(&cur, end, &r.prov.site);
+      f.shard_offsets.push_back(static_cast<size_t>(cur - begin));
+      ok = ok && binio::Read(&cur, end, &r.prov.src_shard) &&
+           binio::Read(&cur, end, &r.prov.src_outer) &&
+           binio::Read(&cur, end, &r.prov.src_inner) &&
+           binio::Read(&cur, end, &r.prov.txn);
+      uint8_t kind = 0;
+      ok = ok && binio::Read(&cur, end, &kind);
+      r.value.kind = static_cast<ValueKind>(kind);
+      switch (r.value.kind) {
+        case ValueKind::kBool: {
+          uint8_t b = 0;
+          ok = ok && binio::Read(&cur, end, &b);
+          r.value.b = b != 0;
+          break;
+        }
+        case ValueKind::kRef:
+          ok = ok && binio::Read(&cur, end, &r.value.ref);
+          break;
+        default:
+          ok = ok && binio::Read(&cur, end, &r.value.num);
+          break;
+      }
+      // After-value: known, kind, num, bool, ref, set size.
+      char after[1 + 1 + 8 + 1 + 8 + 8];
+      ok = ok && binio::ReadBytes(&cur, end, after, sizeof(after));
+      EXPECT_TRUE(ok) << "truncated provenance tail";
+      if (!ok) return frames;
+      r.target_cls = cls;
+      r.field = field;
+      r.assign_id = assign;
+      f.records.push_back(r);
+    }
+    frames.push_back(std::move(f));
+  }
+  EXPECT_EQ(cur, end) << "trailing bytes in provenance tail";
+  return frames;
+}
+
+// The tail with every record's src_shard tag zeroed: src_shard is
+// topology attribution (the emitting worker slot or shard), not causal
+// content, so it is the one field allowed to differ across topologies.
+std::string TailWithoutShardTags(const std::string& tail) {
+  std::string out = tail;
+  for (const TailFrame& f : ParseProvenanceTail(tail)) {
+    for (const size_t off : f.shard_offsets) {
+      std::memset(&out[off], 0, sizeof(int32_t));
+    }
+  }
+  return out;
+}
+
 // --- frame capture basics --------------------------------------------------
 
 TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
@@ -354,14 +450,51 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   EXPECT_GT(f->num_records, 0u) << "battle damage must be recorded";
   EXPECT_GT(f->num_sites, 0u);
   EXPECT_GE(f->total_micros, 0);
-  // Canonical order within the frame.
-  for (size_t i = 1; i < f->num_records; ++i) {
-    EXPECT_FALSE(TraceRecordCanonicalLess(f->records[i].rec,
-                                          f->records[i - 1].rec))
-        << "frame records out of canonical order at " << i;
+
+  // Frames keep capture order; canonical order is what the read paths
+  // expose. The serialized tail lists each frame's records canonically...
+  std::string tail;
+  rec.SerializeProvenanceTail(&tail);
+  const std::vector<TailFrame> frames = ParseProvenanceTail(tail);
+  ASSERT_EQ(frames.size(), 6u);
+  const TailFrame& last = frames.back();
+  EXPECT_EQ(last.tick, newest);
+  ASSERT_EQ(last.records.size(), f->num_records);
+  for (size_t i = 1; i < last.records.size(); ++i) {
+    EXPECT_FALSE(TraceRecordCanonicalLess(last.records[i],
+                                          last.records[i - 1]))
+        << "serialized tail out of canonical order at " << i;
+  }
+  // ... and holds exactly the frame's records.
+  std::vector<TraceRecord> sorted(
+      f->records.begin(),
+      f->records.begin() + static_cast<ptrdiff_t>(f->num_records));
+  std::sort(sorted.begin(), sorted.end(), TraceRecordCanonicalLess);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(last.records[i].target, sorted[i].target);
+    EXPECT_EQ(last.records[i].field, sorted[i].field);
+    EXPECT_EQ(last.records[i].order_key, sorted[i].order_key);
+    EXPECT_EQ(last.records[i].assign_id, sorted[i].assign_id);
   }
 
+  // WhyDidChange steps come out in canonical chain order.
   ProvenanceIndex prov(&rec);
+  std::set<std::pair<EntityId, FieldIdx>> keys;
+  for (size_t i = 0; i < f->num_records; ++i) {
+    keys.emplace(f->records[i].target, f->records[i].field);
+  }
+  for (const auto& [target, field] : keys) {
+    const WhyResult why = prov.WhyDidChange(target, field, newest);
+    ASSERT_EQ(why.status, ProvStatus::kOk);
+    for (size_t i = 1; i < why.steps.size(); ++i) {
+      const ProvStep& a = why.steps[i - 1];
+      const ProvStep& b = why.steps[i];
+      EXPECT_TRUE(std::make_tuple(a.is_txn, a.order_key, a.assign_id) <
+                  std::make_tuple(b.is_txn, b.order_key, b.assign_id))
+          << ChainToString(why, false);
+    }
+  }
+
   const ExplainResult ex = prov.ExplainTick(newest);
   ASSERT_EQ(ex.status, ProvStatus::kOk);
   EXPECT_EQ(ex.num_records, static_cast<int64_t>(f->num_records));
@@ -370,6 +503,44 @@ TEST(FlightRecorder, CapturesFramesScalarsAndSites) {
   for (const ExplainSiteRow& r : ex.sites) site_records += r.records;
   EXPECT_EQ(site_records, ex.num_records)
       << "per-site attribution must partition the record count";
+}
+
+// Rows move between a write and the capture when the sharded barrier
+// applies queued migrations: after-values must still resolve to the moved
+// entity's own merged effect, not to whatever now occupies its old row.
+TEST(FlightRecorder, AfterValuesFollowEntitiesMigratedBeforeCapture) {
+  FlightRecorder rec;
+  rec.set_armed(true);
+  auto engine = BuildRts(256, RecorderOpts(&rec, nullptr, 1, /*shards=*/3));
+  ASSERT_TRUE(engine->RunTicks(2).ok());
+  Rng rng(3);
+  int checked = 0;
+  for (int t = 0; t < 6; ++t) {
+    std::set<EntityId> moved;
+    for (int i = 0; i < 40; ++i) {
+      const EntityId id = 1 + static_cast<EntityId>(rng.Next() % 256);
+      ASSERT_TRUE(engine->sharded_world()
+                      .QueueMigration(id, static_cast<int>(rng.Next() % 3))
+                      .ok());
+      moved.insert(id);
+    }
+    ASSERT_TRUE(engine->Tick().ok());
+    const TickFrame* f = rec.frame(engine->tick() - 1);
+    ASSERT_NE(f, nullptr);
+    const World& world = engine->world();
+    for (size_t i = 0; i < f->num_records; ++i) {
+      const TraceRecord& r = f->records[i];
+      const AfterValue& a = f->after[i];
+      if (moved.count(r.target) == 0 || a.kind != TypeKind::kNumber) continue;
+      const World::Locator* loc = world.Find(r.target);
+      ASSERT_NE(loc, nullptr);
+      ASSERT_TRUE(a.known);
+      EXPECT_EQ(a.num,
+                world.effects(loc->cls).FinalNumber(r.field, loc->row));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // --- differential: index path vs independent stream ------------------------
@@ -476,29 +647,34 @@ TEST(Provenance, IndexMatchesBruteForceLinearScan) {
   ASSERT_NE(f, nullptr);
   std::set<std::pair<EntityId, FieldIdx>> keys;
   for (size_t i = 0; i < f->num_records; ++i) {
-    keys.emplace(f->records[i].rec.target, f->records[i].rec.field);
+    keys.emplace(f->records[i].target, f->records[i].field);
   }
   ASSERT_FALSE(keys.empty());
   for (const auto& [target, field] : keys) {
     const WhyResult why = prov.WhyDidChange(target, field, t);
     ASSERT_EQ(why.status, ProvStatus::kOk);
-    // Brute force: scan the frame in canonical order.
-    std::vector<const FrameRecord*> expect;
+    // Brute force: scan the whole frame, then put the matches in
+    // canonical order (frames are stored in capture order).
+    std::vector<size_t> expect;
     for (size_t i = 0; i < f->num_records; ++i) {
-      const FrameRecord& fr = f->records[i];
-      if (fr.rec.target == target && fr.rec.field == field) {
-        expect.push_back(&fr);
+      if (f->records[i].target == target && f->records[i].field == field) {
+        expect.push_back(i);
       }
     }
+    std::sort(expect.begin(), expect.end(), [f](size_t a, size_t b) {
+      return TraceRecordCanonicalLess(f->records[a], f->records[b]);
+    });
     ASSERT_EQ(why.steps.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(why.steps[i].order_key, expect[i]->rec.order_key);
-      EXPECT_EQ(why.steps[i].assign_id, expect[i]->rec.assign_id);
-      EXPECT_EQ(why.steps[i].site, expect[i]->rec.prov.site);
+      const TraceRecord& r = f->records[expect[i]];
+      EXPECT_EQ(why.steps[i].order_key, r.order_key);
+      EXPECT_EQ(why.steps[i].assign_id, r.assign_id);
+      EXPECT_EQ(why.steps[i].site, r.prov.site);
     }
-    EXPECT_EQ(why.after.known, expect.back()->after_known);
+    const AfterValue& last = f->after[expect.back()];
+    EXPECT_EQ(why.after.known, last.known);
     if (why.after.known) {
-      EXPECT_EQ(why.after.num, expect.back()->after_num);
+      EXPECT_EQ(why.after.num, last.num);
     }
   }
 }
@@ -532,8 +708,8 @@ TEST(Provenance, TxnWritebackChainsOnContestedMarket) {
     ASSERT_NE(f, nullptr);
     std::set<std::pair<EntityId, FieldIdx>> txn_keys;
     for (size_t i = 0; i < f->num_records; ++i) {
-      if (f->records[i].rec.prov.txn >= 0) {
-        txn_keys.emplace(f->records[i].rec.target, f->records[i].rec.field);
+      if (f->records[i].prov.txn >= 0) {
+        txn_keys.emplace(f->records[i].target, f->records[i].field);
       }
     }
     for (const auto& [target, field] : txn_keys) {
@@ -567,7 +743,7 @@ std::string AllChains(FlightRecorder* rec) {
     if (f == nullptr) continue;
     std::set<std::pair<EntityId, FieldIdx>> keys;
     for (size_t i = 0; i < f->num_records; ++i) {
-      keys.emplace(f->records[i].rec.target, f->records[i].rec.field);
+      keys.emplace(f->records[i].target, f->records[i].field);
     }
     for (const auto& [target, field] : keys) {
       out += ChainToString(prov.WhyDidChange(target, field, t),
@@ -602,6 +778,82 @@ TEST(Provenance, ChainsBitIdenticalAcrossTopologiesAndModes) {
       << "bytecode chains diverged";
   EXPECT_EQ(run(1, 1, EvalMode::kInterpret, ProbeMode::kSingle), base)
       << "single-probe chains diverged";
+}
+
+// Frames are stored in capture order, which depends on the worker-slot
+// layout; the canonical views must not. The dump's provenance tail and
+// every WhyDidChange chain are identical across {1, 4 threads} x {1, 3
+// shards}, on a read-heavy battle and on the contested market (txn
+// write-backs, set-typed after-values) — up to src_shard, the topology tag.
+TEST(Provenance, TailAndChainsIdenticalAcrossThreadsAndShards) {
+  struct Canon {
+    std::string tail;  ///< provenance tail, src_shard tags zeroed
+    std::string raw;   ///< provenance tail as written
+    std::string chains;
+  };
+  auto canon = [](FlightRecorder* rec) {
+    Canon c;
+    rec->SerializeProvenanceTail(&c.raw);
+    c.tail = TailWithoutShardTags(c.raw);
+    c.chains = AllChains(rec);
+    return c;
+  };
+  auto rts = [&](int threads, int shards) {
+    FlightRecorderOptions fo;
+    fo.ring_ticks = 8;
+    FlightRecorder rec(fo);
+    rec.set_armed(true);
+    auto engine = BuildRts(256, RecorderOpts(&rec, nullptr, threads, shards));
+    EXPECT_TRUE(engine->RunTicks(10).ok());
+    return canon(&rec);
+  };
+  auto market = [&](int threads, int shards) {
+    FlightRecorderOptions fo;
+    fo.ring_ticks = 8;
+    FlightRecorder rec(fo);
+    rec.set_armed(true);
+    MarketConfig config;
+    config.num_traders = 64;
+    config.num_items = 128;
+    auto engine = MarketWorkload::Build(
+        config, RecorderOpts(&rec, nullptr, threads, shards));
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    Rng rng(5);
+    for (int t = 0; t < 10; ++t) {
+      MarketWorkload::AssignWants(engine->get(), config, &rng);
+      EXPECT_TRUE((*engine)->Tick().ok());
+    }
+    return canon(&rec);
+  };
+  for (const bool is_market : {false, true}) {
+    SCOPED_TRACE(is_market ? "market" : "rts");
+    auto run = [&](int threads, int shards) {
+      return is_market ? market(threads, shards) : rts(threads, shards);
+    };
+    const Canon base = run(1, 1);
+    ASSERT_FALSE(base.chains.empty());
+    ASSERT_GT(ParseProvenanceTail(base.raw).size(), 0u);
+    for (const auto& [threads, shards] :
+         std::vector<std::pair<int, int>>{{4, 1}, {1, 3}, {4, 3}}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads x " +
+                   std::to_string(shards) + " shards");
+      const Canon c = run(threads, shards);
+      EXPECT_TRUE(c.tail == base.tail) << "provenance tail diverged";
+      EXPECT_EQ(c.chains, base.chains) << "WhyDidChange chains diverged";
+      // Query-phase records tag their world shard, so at a fixed shard
+      // count the battle's tail is byte-identical as written.
+      if (!is_market && shards == 1) {
+        EXPECT_TRUE(c.raw == base.raw);
+      }
+    }
+    if (is_market) {
+      bool saw_txn = false;
+      for (const TailFrame& f : ParseProvenanceTail(base.raw)) {
+        for (const TraceRecord& r : f.records) saw_txn |= r.prov.txn >= 0;
+      }
+      EXPECT_TRUE(saw_txn) << "market tail carries no txn write-backs";
+    }
+  }
 }
 
 // --- eviction and truncation honesty ---------------------------------------
@@ -652,8 +904,8 @@ TEST(Provenance, RecordOverflowReportsTruncated) {
   EXPECT_EQ(ex.status, ProvStatus::kTruncated);
   EXPECT_GT(ex.dropped_records, 0);
   // Any chain out of a truncated frame is flagged, present or not.
-  const WhyResult hit = prov.WhyDidChange(f->records[0].rec.target,
-                                          f->records[0].rec.field, t);
+  const WhyResult hit = prov.WhyDidChange(f->records[0].target,
+                                          f->records[0].field, t);
   EXPECT_EQ(hit.status, ProvStatus::kTruncated);
   const WhyResult miss =
       prov.WhyDidChange(static_cast<EntityId>(1 << 20), 0, t);
@@ -888,6 +1140,71 @@ TEST(RecorderAllocs, UserTracerAndRecorderTogetherHoldTheContract) {
   for (EntityId id = 1; id <= 16; ++id) tracer.Watch(id);
   engine->SetTracer(&tracer);
   EXPECT_EQ(MeasureArmedSteadyState(engine.get(), &tracer), 0);
+}
+
+// The write-heavy path: transaction write-backs fan into the recorder from
+// the barrier thread, and the per-tick record volume jitters with the
+// random trade wants, so ring frames must settle above that jitter.
+TEST(RecorderAllocs, MarketTxnSteadyStateIsAllocationFree) {
+  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
+  FlightRecorder rec;
+  rec.set_armed(true);
+  MarketConfig config;
+  config.num_traders = 2048;
+  config.num_items = 4096;
+  auto engine = MarketWorkload::Build(
+      config, RecorderOpts(&rec, nullptr, /*threads=*/4));
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Rng rng(9);
+  for (int t = 0; t < 60; ++t) {
+    MarketWorkload::AssignWants(engine->get(), config, &rng);
+    ASSERT_TRUE((*engine)->Tick().ok());
+    if (t < 40) continue;  // warmup: every ring slot reaches high water
+    const TickStats& stats = (*engine)->last_stats();
+    EXPECT_EQ(stats.allocs_per_tick, 0) << DescribeTickStats(stats);
+  }
+  EXPECT_GT(rec.frame(rec.newest_tick())->num_records, 0u);
+}
+
+// --- honest tick time -------------------------------------------------------
+
+// TickStats::total_micros covers the whole tick, the armed recorder's
+// capture included: per tick it matches the wall time around
+// Engine::Tick() within 5%, and the frame carries the same figure.
+TEST(RecorderTickTime, TotalMicrosMatchesWallTimeWithCaptureArmed) {
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    FlightRecorder rec;
+    rec.set_armed(true);
+    auto engine =
+        BuildRts(4096, RecorderOpts(&rec, nullptr, /*threads=*/1, shards));
+    ASSERT_TRUE(engine->RunTicks(4).ok());
+    int64_t wall_sum = 0, total_sum = 0;
+    for (int t = 0; t < 12; ++t) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ASSERT_TRUE(engine->Tick().ok());
+      const int64_t wall =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+      const TickStats& stats = engine->last_stats();
+      // Microsecond truncation on both clocks: allow the larger of 5% and
+      // a few microseconds.
+      const double slack = std::max(0.05 * static_cast<double>(wall), 5.0);
+      EXPECT_NEAR(static_cast<double>(stats.total_micros),
+                  static_cast<double>(wall), slack)
+          << "tick " << stats.tick;
+      const TickFrame* f = rec.frame(stats.tick);
+      ASSERT_NE(f, nullptr);
+      EXPECT_EQ(f->total_micros, stats.total_micros);
+      EXPECT_EQ(f->end_ns - f->begin_ns, f->total_micros * 1000);
+      wall_sum += wall;
+      total_sum += stats.total_micros;
+    }
+    EXPECT_GT(rec.frame(rec.newest_tick())->num_records, 0u);
+    EXPECT_NEAR(static_cast<double>(total_sum), static_cast<double>(wall_sum),
+                0.05 * static_cast<double>(wall_sum));
+  }
 }
 
 // --- checksum parity --------------------------------------------------------

@@ -551,18 +551,29 @@ TEST(PooledTracer, RecordsIdenticalAcrossThreadCounts) {
 }
 
 TEST(WorkerLanes, AppendClearKeepsCapacityAndOrder) {
-  WorkerLanes<int> lanes(4);
-  for (int i = 0; i < 100; ++i) lanes.Append(i);
+  WorkerLanes<int> lanes;
+  lanes.Reserve(4);
+  EXPECT_EQ(lanes.num_lanes(), 4);
+  for (int i = 0; i < 100; ++i) lanes.Append(i % 4, i);
   EXPECT_EQ(lanes.size(), 100u);
+  // Lane-major blocks: lane 0's records in append order, then lane 1's...
   std::vector<int> seen;
-  lanes.ForEach([&](int v) { seen.push_back(v); });
+  std::vector<size_t> blocks;
+  lanes.ForEachLane([&](const int* data, size_t n) {
+    seen.insert(seen.end(), data, data + n);
+    blocks.push_back(n);
+  });
+  EXPECT_EQ(blocks, std::vector<size_t>({25, 25, 25, 25}));
   ASSERT_EQ(seen.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(seen[static_cast<size_t>(i)], (i % 25) * 4 + i / 25);
+  }
   lanes.Clear();
   EXPECT_EQ(lanes.size(), 0u);
-  lanes.Append(7);
+  lanes.Reserve(2);  // never shrinks
+  EXPECT_EQ(lanes.num_lanes(), 4);
+  lanes.Append(3, 7);
   EXPECT_EQ(lanes.size(), 1u);
-  EXPECT_EQ(lanes.dropped(), 0);
 }
 
 }  // namespace
