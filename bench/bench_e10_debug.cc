@@ -82,6 +82,10 @@ void BM_CheckpointRestoreRoundTrip(benchmark::State& state) {
 // spans/tick and the tick-time percentiles the armed registry accumulated.
 
 constexpr int kTelemetryUnits = 16384;
+// Ticks per repetition of every 16k-unit series. At 40-55 ms/tick a time
+// budget would settle for 3-4 ticks, too few to judge a 10% armed/disarmed
+// gap; a fixed count times the same window in every series.
+constexpr int kTelemetryTicks = 24;
 
 std::unique_ptr<sgl::Engine> BuildTelemetryRts(int units,
                                                sgl::Telemetry* tel) {
@@ -217,15 +221,21 @@ BENCHMARK(BM_CheckpointEveryTick)
 BENCHMARK(BM_CheckpointRestoreRoundTrip)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.1);
-BENCHMARK(BM_TelemetryDetached)->Unit(benchmark::kMillisecond)->MinTime(0.1);
-BENCHMARK(BM_TelemetryDisarmed)->Unit(benchmark::kMillisecond)->MinTime(0.1);
-BENCHMARK(BM_TelemetryArmed)->Unit(benchmark::kMillisecond)->MinTime(0.1);
+BENCHMARK(BM_TelemetryDetached)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kTelemetryTicks);
+BENCHMARK(BM_TelemetryDisarmed)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kTelemetryTicks);
+BENCHMARK(BM_TelemetryArmed)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kTelemetryTicks);
 BENCHMARK(BM_FlightRecorderDisarmed)
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
+    ->Iterations(kTelemetryTicks);
 BENCHMARK(BM_FlightRecorderArmed)
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
+    ->Iterations(kTelemetryTicks);
 BENCHMARK(BM_SpanRecordArmed)->MinTime(0.1);
 
 }  // namespace

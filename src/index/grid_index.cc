@@ -17,6 +17,7 @@ GridIndex::GridIndex(int dims, double target_per_cell)
   max_.assign(static_cast<size_t>(dims_), 0);
   cell_size_.assign(static_cast<size_t>(dims_), 1);
   cells_per_dim_.assign(static_cast<size_t>(dims_), 1);
+  cell_start_.assign(2, 0);  // one empty cell until the first Build
 }
 
 void GridIndex::Build(const std::vector<std::vector<double>>& coords) {
@@ -96,9 +97,23 @@ void GridIndex::BuildCells() {
 
 int64_t GridIndex::CellCoord(int dim, double v) const {
   size_t k = static_cast<size_t>(dim);
-  double rel = (v - min_[k]) / cell_size_[k];
-  int64_t c = static_cast<int64_t>(std::floor(rel));
-  return std::clamp<int64_t>(c, 0, cells_per_dim_[k] - 1);
+  // Clamp before the integer cast: an infinite or huge bound (the executor
+  // passes +-inf for unconstrained dims) must land on the edge cell, and
+  // a NaN on cell 0, instead of an out-of-range cast. Once clamped to
+  // [0, top] the value is non-negative, so truncation is floor.
+  const double rel = (v - min_[k]) / cell_size_[k];
+  const double top = static_cast<double>(cells_per_dim_[k] - 1);
+  const double c = rel > 0 ? rel : 0.0;  // NaN compares false: cell 0
+  return static_cast<int64_t>(c < top ? c : top);
+}
+
+void GridIndex::CellRange(int dim, double lo, double hi, int64_t* c_lo,
+                          int64_t* c_hi) const {
+  // A NaN bound excludes nothing (v < NaN and v > NaN are both false), so
+  // it opens the cell range to the grid's edge on its side.
+  *c_lo = CellCoord(dim, lo);
+  *c_hi = std::isnan(hi) ? cells_per_dim_[static_cast<size_t>(dim)] - 1
+                         : CellCoord(dim, hi);
 }
 
 size_t GridIndex::CellIndex(const int64_t* cc) const {
@@ -117,8 +132,7 @@ void GridIndex::Query(const double* lo, const double* hi,
   int64_t c_hi[kMaxIndexDims];
   for (int k = 0; k < dims_; ++k) {
     if (lo[k] > hi[k]) return;
-    c_lo[k] = CellCoord(k, lo[k]);
-    c_hi[k] = CellCoord(k, hi[k]);
+    CellRange(k, lo[k], hi[k], &c_lo[k], &c_hi[k]);
   }
   // Iterate the (hyper)rectangle of cells.
   int64_t cc[kMaxIndexDims];
@@ -147,45 +161,57 @@ void GridIndex::Query(const double* lo, const double* hi,
   }
 }
 
+size_t GridIndex::AppendBox(const double* lo, const double* hi,
+                            std::vector<RowIdx>* out, size_t at) const {
+  int64_t c_lo[kMaxIndexDims], c_hi[kMaxIndexDims];
+  const double* cols[kMaxIndexDims];
+  for (int k = 0; k < dims_; ++k) {
+    if (lo[k] > hi[k]) return at;
+    CellRange(k, lo[k], hi[k], &c_lo[k], &c_hi[k]);
+    cols[k] = coords_[static_cast<size_t>(k)].data();
+  }
+  const VmKernels& kern = GetVmKernels();
+  // Odometer over every dim but the last; the last dim's cell run
+  // [c_lo, c_hi] is one contiguous CSR span.
+  const int last = dims_ - 1;
+  int64_t cc[kMaxIndexDims];
+  std::copy(c_lo, c_lo + dims_, cc);
+  const size_t span_cells = static_cast<size_t>(c_hi[last] - c_lo[last]);
+  for (;;) {
+    cc[last] = c_lo[last];
+    const size_t first_cell = CellIndex(cc);
+    const uint32_t a = cell_start_[first_cell];
+    const uint32_t b = cell_start_[first_cell + span_cells + 1];
+    if (b > a) {
+      GrowWithHeadroom(out, at + (b - a));
+      at += kern.range_filter(cell_items_.data() + a, b - a, cols, dims_, lo,
+                              hi, out->data() + at);
+    }
+    int k = last - 1;
+    for (; k >= 0; --k) {
+      if (++cc[k] <= c_hi[k]) break;
+      cc[k] = c_lo[k];
+    }
+    if (k < 0) return at;
+  }
+}
+
 void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
                            size_t num_probes, ProbeBatch* out) const {
-  GrowWithHeadroom(&out->offsets, num_probes + 1);
-  out->items.clear();
-  out->offsets[0] = 0;
-  if (n_ == 0 || num_probes == 0) {
-    std::fill(out->offsets.begin(), out->offsets.end(), 0u);
-    return;
-  }
-
   // Visit probes grouped by their box's primary cell so consecutive probes
   // walk overlapping CSR runs; ties keep probe order (stable by key since
-  // the probe id is the low half). Inverted boxes sort as cell 0 and emit
-  // nothing.
+  // the probe id is the low half). Visit order never shows in the result.
   GrowWithHeadroom(&out->visit_keys, num_probes);
   for (size_t p = 0; p < num_probes; ++p) {
-    uint64_t cell = 0;
-    bool empty = false;
-    for (int k = 0; k < dims_; ++k) {
-      if (lo[k][p] > hi[k][p]) {
-        empty = true;
-        break;
-      }
-    }
-    if (!empty) {
-      int64_t cc[kMaxIndexDims];
-      for (int k = 0; k < dims_; ++k) cc[k] = CellCoord(k, lo[k][p]);
-      cell = static_cast<uint64_t>(CellIndex(cc));
-    }
-    out->visit_keys[p] = (cell << 32) | static_cast<uint64_t>(p);
+    int64_t cc[kMaxIndexDims];
+    for (int k = 0; k < dims_; ++k) cc[k] = CellCoord(k, lo[k][p]);
+    out->visit_keys[p] =
+        (static_cast<uint64_t>(CellIndex(cc)) << 32) | static_cast<uint64_t>(p);
   }
   std::sort(out->visit_keys.begin(), out->visit_keys.end());
 
-  const VmKernels& kern = GetVmKernels();
-  const double* cols[kMaxIndexDims];
-  for (int k = 0; k < dims_; ++k) cols[k] = coords_[static_cast<size_t>(k)].data();
-
   // Emit candidates in visit order into tmp_items; tmp_start[v] marks each
-  // visit's slice so the scatter below can rebuild probe order.
+  // visit's slice so the finisher can rebuild ascending probe order.
   GrowWithHeadroom(&out->tmp_start, num_probes + 1);
   size_t tmp_n = 0;
   for (size_t v = 0; v < num_probes; ++v) {
@@ -198,68 +224,14 @@ void GridIndex::QueryBatch(const double* const* lo, const double* const* hi,
       __builtin_prefetch(cell_items_.data() + cell_start_[nc]);
     }
     double plo[kMaxIndexDims], phi[kMaxIndexDims];
-    bool empty = false;
     for (int k = 0; k < dims_; ++k) {
       plo[k] = lo[k][p];
       phi[k] = hi[k][p];
-      if (plo[k] > phi[k]) empty = true;
     }
-    if (empty) continue;
-    int64_t c_lo[kMaxIndexDims], c_hi[kMaxIndexDims];
-    for (int k = 0; k < dims_; ++k) {
-      c_lo[k] = CellCoord(k, plo[k]);
-      c_hi[k] = CellCoord(k, phi[k]);
-    }
-    // Odometer over every dim but the last; the last dim's cell run
-    // [c_lo, c_hi] is one contiguous CSR span.
-    const int last = dims_ - 1;
-    int64_t cc[kMaxIndexDims];
-    std::copy(c_lo, c_lo + dims_, cc);
-    const size_t span_cells = static_cast<size_t>(c_hi[last] - c_lo[last]);
-    for (;;) {
-      cc[last] = c_lo[last];
-      const size_t first_cell = CellIndex(cc);
-      const uint32_t a = cell_start_[first_cell];
-      const uint32_t b = cell_start_[first_cell + span_cells + 1];
-      if (b > a) {
-        const size_t len = b - a;
-        GrowWithHeadroom(&out->tmp_items, tmp_n + len);
-        tmp_n += kern.range_filter(cell_items_.data() + a, len, cols, dims_,
-                                   plo, phi, out->tmp_items.data() + tmp_n);
-      }
-      int k = last - 1;
-      for (; k >= 0; --k) {
-        if (++cc[k] <= c_hi[k]) break;
-        cc[k] = c_lo[k];
-      }
-      if (k < 0) break;
-    }
+    tmp_n = AppendBox(plo, phi, &out->tmp_items, tmp_n);
   }
   out->tmp_start[num_probes] = static_cast<uint32_t>(tmp_n);
-
-  // Scatter visit-order slices back into probe-order CSR, sorting each
-  // slice ascending to match the single-probe contract.
-  for (size_t p = 0; p <= num_probes; ++p) out->offsets[p] = 0;
-  for (size_t v = 0; v < num_probes; ++v) {
-    const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);
-    out->offsets[p + 1] = out->tmp_start[v + 1] - out->tmp_start[v];
-  }
-  for (size_t p = 0; p < num_probes; ++p) out->offsets[p + 1] += out->offsets[p];
-  GrowWithHeadroom(&out->items, tmp_n);
-  for (size_t v = 0; v < num_probes; ++v) {
-    const size_t p = static_cast<size_t>(out->visit_keys[v] & 0xffffffffu);
-    const uint32_t a = out->tmp_start[v];
-    const uint32_t b = out->tmp_start[v + 1];
-    RowIdx* dst = out->items.data() + out->offsets[p];
-    std::copy(out->tmp_items.begin() + a, out->tmp_items.begin() + b, dst);
-    std::sort(dst, dst + (b - a));
-  }
-}
-
-size_t GridIndex::Count(const double* lo, const double* hi) const {
-  std::vector<RowIdx> tmp;
-  Query(lo, hi, &tmp);
-  return tmp.size();
+  FinishProbeBatch(num_probes, /*keyed=*/true, out);
 }
 
 size_t GridIndex::MemoryBytes() const {

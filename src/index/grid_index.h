@@ -46,12 +46,13 @@ class GridIndex {
   /// primary cell (sorted 64-bit cell<<32|probe keys), each box's
   /// innermost-dim cell run is one contiguous CSR span (CellIndex is
   /// row-major with the last dim fastest) walked with the SIMD range
-  /// filter, the next probe's span is prefetched, and candidates land in
-  /// pooled CSR output. Zero allocations at buffer high-water.
+  /// filter, and the next probe's span is prefetched. Candidates land in
+  /// visit order; FinishProbeBatch turns them into ascending probe-order
+  /// CSR — by two counting passes when the batch's row range is no larger
+  /// than its candidate count, else by per-slice sorts. Zero allocations
+  /// at buffer high-water.
   void QueryBatch(const double* const* lo, const double* const* hi,
                   size_t num_probes, ProbeBatch* out) const;
-
-  size_t Count(const double* lo, const double* hi) const;
 
   size_t MemoryBytes() const;
 
@@ -59,6 +60,17 @@ class GridIndex {
   /// Shared rebuild body: bins coords_ into the CSR cell layout.
   void BuildCells();
   int64_t CellCoord(int dim, double v) const;
+  /// Cells [*c_lo, *c_hi] on `dim` that can hold points of [lo, hi].
+  void CellRange(int dim, double lo, double hi, int64_t* c_lo,
+                 int64_t* c_hi) const;
+  /// QueryBatch's per-box walk: writes the box's points to (*out)[at..),
+  /// growing `out` as needed, and returns the new end. Each innermost-dim
+  /// cell run is one contiguous CSR span (CellIndex is row-major, last dim
+  /// fastest) filtered by the SIMD range filter. Query keeps its own
+  /// cell-by-cell scalar walk as the reference the batch path is tested
+  /// against.
+  size_t AppendBox(const double* lo, const double* hi,
+                   std::vector<RowIdx>* out, size_t at) const;
   size_t CellIndex(const int64_t* cc) const;
 
   int dims_;

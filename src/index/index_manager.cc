@@ -1,7 +1,5 @@
 #include "src/index/index_manager.h"
 
-#include <algorithm>
-
 #include "src/common/stopwatch.h"
 #include "src/common/vec_util.h"
 
@@ -9,47 +7,37 @@ namespace sgl {
 
 namespace {
 
-class RangeTreeIndex : public SpatialIndex {
+/// SpatialIndex over a concrete RangeTree or GridIndex.
+template <typename Index>
+class IndexAdapter : public SpatialIndex {
  public:
-  explicit RangeTreeIndex(int dims) : tree_(dims) {}
+  explicit IndexAdapter(int dims) : index_(dims) {}
   void Build(std::vector<std::vector<double>>&& coords) {
-    tree_.Build(std::move(coords));
+    index_.Build(std::move(coords));
   }
-  int dims() const override { return tree_.dims(); }
+  int dims() const override { return index_.dims(); }
   void Query(const double* lo, const double* hi,
              std::vector<RowIdx>* out) const override {
-    tree_.Query(lo, hi, out);
+    index_.Query(lo, hi, out);
   }
   void QueryBatch(const double* const* lo, const double* const* hi,
                   size_t num_probes, ProbeBatch* out) const override {
-    tree_.QueryBatch(lo, hi, num_probes, out);
+    index_.QueryBatch(lo, hi, num_probes, out);
   }
-  size_t MemoryBytes() const override { return tree_.MemoryBytes(); }
+  size_t MemoryBytes() const override { return index_.MemoryBytes(); }
 
  private:
-  RangeTree tree_;
+  Index index_;
 };
 
-class GridIndexAdapter : public SpatialIndex {
- public:
-  explicit GridIndexAdapter(int dims) : grid_(dims) {}
-  void Build(std::vector<std::vector<double>>&& coords) {
-    grid_.Build(std::move(coords));
-  }
-  int dims() const override { return grid_.dims(); }
-  void Query(const double* lo, const double* hi,
-             std::vector<RowIdx>* out) const override {
-    grid_.Query(lo, hi, out);
-  }
-  void QueryBatch(const double* const* lo, const double* const* hi,
-                  size_t num_probes, ProbeBatch* out) const override {
-    grid_.QueryBatch(lo, hi, num_probes, out);
-  }
-  size_t MemoryBytes() const override { return grid_.MemoryBytes(); }
-
- private:
-  GridIndex grid_;
-};
+/// Rebuilds `*index` as an `Index` over `*coords` (swapped in, see
+/// GetOrBuild), creating it on first use.
+template <typename Index>
+void BuildAs(int dims, std::unique_ptr<SpatialIndex>* index,
+             std::vector<std::vector<double>>* coords) {
+  if (*index == nullptr) *index = std::make_unique<IndexAdapter<Index>>(dims);
+  static_cast<IndexAdapter<Index>*>(index->get())->Build(std::move(*coords));
+}
 
 // Copies the indexed columns into `coords`, reusing its buffers.
 void ExtractCoords(const World& world, const IndexSpec& spec,
@@ -65,26 +53,6 @@ void ExtractCoords(const World& world, const IndexSpec& spec,
 }
 
 }  // namespace
-
-void SpatialIndex::QueryBatch(const double* const* lo, const double* const* hi,
-                              size_t num_probes, ProbeBatch* out) const {
-  const int d = dims();
-  SGL_CHECK(d <= kMaxIndexDims);
-  GrowWithHeadroom(&out->offsets, num_probes + 1);
-  out->items.clear();
-  out->offsets[0] = 0;
-  double plo[kMaxIndexDims], phi[kMaxIndexDims];
-  for (size_t p = 0; p < num_probes; ++p) {
-    for (int k = 0; k < d; ++k) {
-      plo[k] = lo[k][p];
-      phi[k] = hi[k][p];
-    }
-    const size_t before = out->items.size();
-    Query(plo, phi, &out->items);
-    std::sort(out->items.begin() + before, out->items.end());
-    out->offsets[p + 1] = static_cast<uint32_t>(out->items.size());
-  }
-}
 
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {
@@ -106,20 +74,12 @@ const SpatialIndex* IndexManager::GetOrBuild(const World& world,
   // their high-water capacity.
   ExtractCoords(world, spec, &e.coords);
   switch (spec.kind) {
-    case IndexKind::kRangeTree: {
-      if (e.index == nullptr) {
-        e.index = std::make_unique<RangeTreeIndex>(dims);
-      }
-      static_cast<RangeTreeIndex*>(e.index.get())->Build(std::move(e.coords));
+    case IndexKind::kRangeTree:
+      BuildAs<RangeTree>(dims, &e.index, &e.coords);
       break;
-    }
-    case IndexKind::kGrid: {
-      if (e.index == nullptr) {
-        e.index = std::make_unique<GridIndexAdapter>(dims);
-      }
-      static_cast<GridIndexAdapter*>(e.index.get())->Build(std::move(e.coords));
+    case IndexKind::kGrid:
+      BuildAs<GridIndex>(dims, &e.index, &e.coords);
       break;
-    }
   }
   e.built_at = tick;
   ++builds_;

@@ -84,21 +84,7 @@ void PartitionedIndex::Query(const double* lo, const double* hi,
 void PartitionedIndex::QueryBatch(const double* const* lo,
                                   const double* const* hi, size_t num_probes,
                                   ProbeBatch* out) const {
-  SGL_CHECK(dims_ <= kMaxIndexDims);
-  GrowWithHeadroom(&out->offsets, num_probes + 1);
-  out->items.clear();
-  out->offsets[0] = 0;
-  double plo[kMaxIndexDims], phi[kMaxIndexDims];
-  for (size_t p = 0; p < num_probes; ++p) {
-    for (int k = 0; k < dims_; ++k) {
-      plo[k] = lo[k][p];
-      phi[k] = hi[k][p];
-    }
-    const size_t before = out->items.size();
-    Query(plo, phi, &out->items);
-    std::sort(out->items.begin() + before, out->items.end());
-    out->offsets[p + 1] = static_cast<uint32_t>(out->items.size());
-  }
+  QueryEachProbe(*this, lo, hi, num_probes, out);
 }
 
 size_t PartitionedIndex::ShardMemoryBytes(int s) const {

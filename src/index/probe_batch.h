@@ -8,11 +8,17 @@
 //   * an inverted box (lo > hi on any dim) yields an empty slice, and NaN
 //     coordinates are kept, both matching the per-index Query semantics.
 //
+// Every backend produces candidates in whatever order its walk visits the
+// probes and leaves the ordering to one shared finisher, FinishProbeBatch.
+// When the batch's observed row range [min, max] spans no more rows than it
+// has candidates, the finisher orders the whole batch with two stable
+// counting passes (a sparse-matrix transpose there and back) and sorts
+// nothing; otherwise it sorts each slice. Both paths yield the same bytes.
+//
 // All vectors grow amortized to their high-water mark and are pooled in
 // ExecScratch, so steady-state batched probing performs zero allocations.
-// The tmp_* / visit_keys members are implementation scratch for index
-// backends that emit candidates in visit order (GridIndex groups probes by
-// primary cell) before scattering them back into probe order.
+// The tmp_* / visit_keys / row_start members are scratch for the finisher
+// and the backends that feed it.
 
 #ifndef SGL_INDEX_PROBE_BATCH_H_
 #define SGL_INDEX_PROBE_BATCH_H_
@@ -40,10 +46,11 @@ struct ProbeBatch {
   std::vector<uint32_t> offsets;  ///< num_probes + 1 CSR offsets into items
   std::vector<RowIdx> items;      ///< candidates, slice-sorted ascending
 
-  // Backend scratch (see file comment). Not part of the result.
-  std::vector<uint64_t> visit_keys;
-  std::vector<uint32_t> tmp_start;
-  std::vector<RowIdx> tmp_items;
+  // Scratch (see file comment). Not part of the result.
+  std::vector<uint64_t> visit_keys;  ///< backend's visit order, probe low
+  std::vector<uint32_t> tmp_start;   ///< visit v's slice of tmp_items
+  std::vector<RowIdx> tmp_items;     ///< candidates in visit order
+  std::vector<uint32_t> row_start;   ///< counting-pass row buckets
 
   size_t num_probes() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -53,6 +60,38 @@ struct ProbeBatch {
     return items.data() + offsets[p + 1];
   }
 };
+
+/// The ordering step every QueryBatch backend ends with. On entry
+/// out->tmp_items holds the batch's candidates in visit order: visit v
+/// owns tmp_items[tmp_start[v] .. tmp_start[v+1]) (tmp_start has
+/// num_probes + 1 entries) and belongs to probe `visit_keys[v] & 0xffffffff`
+/// when `keyed`, else to probe v. Each probe is visited exactly once. On
+/// return offsets/items hold the ascending probe-order CSR of the contract.
+void FinishProbeBatch(size_t num_probes, bool keyed, ProbeBatch* out);
+
+/// QueryBatch for indexes without a native batch walk: answers each box
+/// with `index.Query(lo, hi, &out)` (appending, any order) in probe order
+/// and hands the candidates to FinishProbeBatch.
+template <typename Index>
+void QueryEachProbe(const Index& index, const double* const* lo,
+                    const double* const* hi, size_t num_probes,
+                    ProbeBatch* out) {
+  const int dims = index.dims();
+  SGL_CHECK(dims <= kMaxIndexDims);
+  GrowWithHeadroom(&out->tmp_start, num_probes + 1);
+  out->tmp_items.clear();
+  double plo[kMaxIndexDims], phi[kMaxIndexDims];
+  for (size_t p = 0; p < num_probes; ++p) {
+    for (int k = 0; k < dims; ++k) {
+      plo[k] = lo[k][p];
+      phi[k] = hi[k][p];
+    }
+    out->tmp_start[p] = static_cast<uint32_t>(out->tmp_items.size());
+    index.Query(plo, phi, &out->tmp_items);
+  }
+  out->tmp_start[num_probes] = static_cast<uint32_t>(out->tmp_items.size());
+  FinishProbeBatch(num_probes, /*keyed=*/false, out);
+}
 
 }  // namespace sgl
 

@@ -62,9 +62,10 @@ class RangeTree {
   /// Batched probe over num_probes boxes given as per-dim columns
   /// (lo[k][p], hi[k][p]); result contract in probe_batch.h. The layered
   /// traversal cannot be fused across probes the way the grid's CSR walk
-  /// can, so this runs one traversal per box — the win over the executor's
-  /// old loop is the devirtualized probe call, the pooled CSR emission,
-  /// and the slice sort done in place. Requires dims() <= kMaxIndexDims.
+  /// can, so this runs one traversal per box (QueryEachProbe) — the win
+  /// over the executor's old loop is the devirtualized probe call and the
+  /// pooled CSR emission, ordered by the shared FinishProbeBatch.
+  /// Requires dims() <= kMaxIndexDims.
   void QueryBatch(const double* const* lo, const double* const* hi,
                   size_t num_probes, ProbeBatch* out) const;
 

@@ -3,14 +3,20 @@
 // and every probe mix — ordinary boxes, degenerate (lo == hi), inverted
 // (lo > hi, contract: empty slice), whole-world boxes, duplicate-heavy
 // point sets — slice p of the CSR output must equal Query(box p) + sort,
-// element for element. On top of the structural contract, the engine-level
-// sweep asserts the observable guarantee: ProbeMode cannot change a world
-// checksum, in serial, 4-thread, and 4-shard execution.
+// element for element. Regime cases force each path of the shared finisher
+// (counting passes on dense batches, per-slice sorts on sparse ones) and
+// also check against a brute-force scan. On top of the structural contract,
+// the engine-level sweep asserts the observable guarantee: ProbeMode cannot
+// change a world checksum, in serial, multi-thread, and sharded execution,
+// on dense (clustered RTS) and sparse (traffic) batches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
+#include "src/common/alloc_hook.h"
 #include "src/common/rng.h"
 #include "src/debug/checkpoint.h"
 #include "src/index/grid_index.h"
@@ -18,6 +24,7 @@
 #include "src/index/probe_batch.h"
 #include "src/index/range_tree.h"
 #include "src/sim/rts.h"
+#include "src/sim/traffic.h"
 
 namespace sgl {
 namespace {
@@ -81,13 +88,24 @@ BoxColumns RandomBoxes(int d, size_t count, Rng* rng,
   return b;
 }
 
-/// Asserts QueryBatch(boxes) == per-box Query + sort on `index`, which can
-/// be any of the three native backends (they share the method shape).
+/// Asserts slice p of `batch` holds exactly `expected`, ascending.
+void ExpectSlice(const ProbeBatch& batch, size_t p,
+                 std::vector<RowIdx> expected) {
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(batch.offsets[p + 1] - batch.offsets[p], expected.size())
+      << "probe " << p;
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), batch.begin_of(p)))
+      << "probe " << p;
+  // Contract: every slice arrives sorted ascending.
+  EXPECT_TRUE(std::is_sorted(batch.begin_of(p), batch.end_of(p)))
+      << "probe " << p;
+}
+
+/// Asserts `batch` == per-box Query + sort on `index`, which can be any of
+/// the three native backends (they share the method shape).
 template <typename Index>
-void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
-                              int d) {
-  ProbeBatch batch;
-  index.QueryBatch(b.lo_ptr, b.hi_ptr, b.count, &batch);
+void ExpectMatchesSingle(const Index& index, const BoxColumns& b, int d,
+                         const ProbeBatch& batch) {
   ASSERT_EQ(batch.num_probes(), b.count);
   std::vector<RowIdx> single;
   for (size_t p = 0; p < b.count; ++p) {
@@ -100,15 +118,16 @@ void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
     }
     single.clear();
     if (!inverted) index.Query(lo, hi, &single);
-    std::sort(single.begin(), single.end());
-    ASSERT_EQ(batch.offsets[p + 1] - batch.offsets[p], single.size())
-        << "probe " << p;
-    EXPECT_TRUE(std::equal(single.begin(), single.end(), batch.begin_of(p)))
-        << "probe " << p;
-    // Contract: every slice arrives sorted ascending.
-    EXPECT_TRUE(std::is_sorted(batch.begin_of(p), batch.end_of(p)))
-        << "probe " << p;
+    ExpectSlice(batch, p, single);
   }
+}
+
+template <typename Index>
+void ExpectBatchMatchesSingle(const Index& index, const BoxColumns& b,
+                              int d) {
+  ProbeBatch batch;
+  index.QueryBatch(b.lo_ptr, b.hi_ptr, b.count, &batch);
+  ExpectMatchesSingle(index, b, d, batch);
 }
 
 struct Sweep {
@@ -178,6 +197,183 @@ INSTANTIATE_TEST_SUITE_P(
                       Sweep{200, 2, false, 5}, Sweep{200, 3, false, 6},
                       Sweep{200, 2, true, 7}, Sweep{500, 2, true, 8}));
 
+// --- Finisher regimes -----------------------------------------------------
+//
+// FinishProbeBatch orders a batch with two counting passes when the rows it
+// found span no more values than it has candidates (dense), and with
+// per-slice sorts otherwise (sparse). Each case below forces one regime,
+// checks that the batch really is in it, and holds all three backends to
+// the single-probe path — and, without NaNs, to a brute-force scan.
+
+/// The finisher's regime test, recomputed from a finished batch.
+bool IsDense(const ProbeBatch& batch) {
+  const uint32_t n = batch.offsets.back();
+  if (n == 0) return false;
+  const auto [lo, hi] =
+      std::minmax_element(batch.items.begin(), batch.items.begin() + n);
+  return static_cast<size_t>(*hi - *lo) + 1 <= n;
+}
+
+struct RegimeCase {
+  bool dense;
+  int n;
+  int d;
+  bool duplicate_heavy;
+  bool nan_coords;  ///< NaN point coordinates and NaN box bounds
+  uint64_t seed;
+};
+
+/// Dense: 256 wide boxes (every fourth spans the whole world with +-inf
+/// bounds, as the executor passes for unconstrained dims) over few points,
+/// so candidates far outnumber rows. Sparse: 6 small boxes around existing
+/// points over many points, so the rows found are spread far apart.
+BoxColumns RegimeBoxes(const RegimeCase& c, Rng* rng,
+                       const std::vector<std::vector<double>>& points) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const size_t count = c.dense ? 256 : 6;
+  BoxColumns b;
+  b.count = count;
+  b.lo.assign(static_cast<size_t>(c.d), std::vector<double>(count));
+  b.hi.assign(static_cast<size_t>(c.d), std::vector<double>(count));
+  const size_t n = points[0].size();
+  for (size_t p = 0; p < count; ++p) {
+    const size_t at = rng->NextBelow(n);
+    for (int k = 0; k < c.d; ++k) {
+      double center = points[static_cast<size_t>(k)][at];
+      if (std::isnan(center)) center = 50.0;
+      const double half = c.dense ? rng->Uniform(25, 60) : 1.5;
+      double lo = center - half, hi = center + half;
+      if (c.dense && p % 4 == 0) {
+        lo = -inf;
+        hi = inf;
+      }
+      if (c.nan_coords && p % 7 == 3) (k == 0 ? lo : hi) = std::nan("");
+      b.lo[static_cast<size_t>(k)][p] = lo;
+      b.hi[static_cast<size_t>(k)][p] = hi;
+    }
+  }
+  for (int k = 0; k < c.d; ++k) {
+    b.lo_ptr[k] = b.lo[static_cast<size_t>(k)].data();
+    b.hi_ptr[k] = b.hi[static_cast<size_t>(k)].data();
+  }
+  return b;
+}
+
+/// Rows of `points` inside box p by the contract's exclusion test.
+std::vector<RowIdx> BruteForce(const std::vector<std::vector<double>>& points,
+                               const BoxColumns& b, size_t p) {
+  std::vector<RowIdx> rows;
+  for (size_t i = 0; i < points[0].size(); ++i) {
+    bool inside = true;
+    for (size_t k = 0; k < points.size(); ++k) {
+      const double v = points[k][i];
+      if (v < b.lo[k][p] || v > b.hi[k][p]) inside = false;
+    }
+    if (inside) rows.push_back(static_cast<RowIdx>(i));
+  }
+  return rows;
+}
+
+class ProbeBatchRegime : public ::testing::TestWithParam<RegimeCase> {
+ protected:
+  template <typename Index>
+  void Check(const Index& index,
+             const std::vector<std::vector<double>>& points, Rng* rng) {
+    const RegimeCase& c = GetParam();
+    ProbeBatch batch;  // pooled across rounds, as in ExecScratch
+    for (int round = 0; round < 3; ++round) {
+      const BoxColumns boxes = RegimeBoxes(c, rng, points);
+      index.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &batch);
+      EXPECT_EQ(IsDense(batch), c.dense) << "round " << round;
+      ExpectMatchesSingle(index, boxes, c.d, batch);
+      if (c.nan_coords) continue;
+      for (size_t p = 0; p < boxes.count; ++p) {
+        ExpectSlice(batch, p, BruteForce(points, boxes, p));
+      }
+    }
+  }
+
+  std::vector<std::vector<double>> Points(Rng* rng) const {
+    const RegimeCase& c = GetParam();
+    auto points = RandomPoints(c.n, c.d, rng, c.duplicate_heavy);
+    if (c.nan_coords) {
+      // Row 0 stays finite so the grid's bounding box is.
+      for (size_t i = 5; i < points[0].size(); i += 9) {
+        points[i % points.size()][i] = std::nan("");
+      }
+    }
+    return points;
+  }
+};
+
+TEST_P(ProbeBatchRegime, Grid) {
+  Rng rng(GetParam().seed);
+  const auto points = Points(&rng);
+  GridIndex grid(GetParam().d);
+  grid.Build(points);
+  Check(grid, points, &rng);
+}
+
+TEST_P(ProbeBatchRegime, RangeTree) {
+  Rng rng(GetParam().seed ^ 0xbeefULL);
+  const auto points = Points(&rng);
+  RangeTree tree(GetParam().d);
+  tree.Build(points);
+  Check(tree, points, &rng);
+}
+
+TEST_P(ProbeBatchRegime, Partitioned) {
+  Rng rng(GetParam().seed ^ 0xcafeULL);
+  const auto points = Points(&rng);
+  PartitionedIndex part(GetParam().d, /*shards=*/4);
+  part.Build(points);
+  Check(part, points, &rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, ProbeBatchRegime,
+    ::testing::Values(RegimeCase{true, 40, 1, false, false, 11},
+                      RegimeCase{true, 150, 2, false, false, 12},
+                      RegimeCase{true, 150, 3, false, false, 13},
+                      RegimeCase{true, 150, 2, true, false, 14},
+                      RegimeCase{true, 150, 2, false, true, 15},
+                      RegimeCase{false, 4000, 1, false, false, 21},
+                      RegimeCase{false, 4000, 2, false, false, 22},
+                      RegimeCase{false, 4000, 2, true, false, 23},
+                      RegimeCase{false, 4000, 2, false, true, 24}));
+
+// Dense-regime batches into one pooled ProbeBatch allocate only on the
+// first call: the finisher's by-row buckets reuse items' storage and the
+// row buckets are pooled like every other buffer.
+TEST(ProbeBatchAllocs, DenseRegimeIsAllocationFreeAfterFirstCall) {
+  if (!AllocCountingEnabled()) GTEST_SKIP() << "allocation hook compiled out";
+  const RegimeCase c{true, 150, 2, false, false, 31};
+  Rng rng(c.seed);
+  const auto points = RandomPoints(c.n, c.d, &rng, c.duplicate_heavy);
+  const BoxColumns boxes = RegimeBoxes(c, &rng, points);
+  GridIndex grid(c.d);
+  grid.Build(points);
+  RangeTree tree(c.d);
+  tree.Build(points);
+  PartitionedIndex part(c.d, /*shards=*/4);
+  part.Build(points);
+  ProbeBatch grid_batch, tree_batch, part_batch;
+  auto probe_all = [&] {
+    grid.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &grid_batch);
+    tree.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &tree_batch);
+    part.QueryBatch(boxes.lo_ptr, boxes.hi_ptr, boxes.count, &part_batch);
+  };
+  probe_all();
+  ASSERT_TRUE(IsDense(grid_batch));
+  ASSERT_TRUE(IsDense(tree_batch));
+  ASSERT_TRUE(IsDense(part_batch));
+  const AllocCounts before = AllocCountersNow();
+  for (int call = 0; call < 8; ++call) probe_all();
+  const AllocCounts after = AllocCountersNow();
+  EXPECT_EQ(after.count - before.count, 0);
+  EXPECT_EQ(after.bytes - before.bytes, 0);
+}
+
 // --- Engine-level: ProbeMode is checksum-invariant ------------------------
 
 uint64_t RunRts(ProbeMode probe, PlanMode plan, int threads, int shards,
@@ -214,6 +410,143 @@ TEST(ProbeModeParity, ChecksumInvariantUnderThreadsAndShards) {
   EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 1, 4));
   EXPECT_EQ(single, RunRts(ProbeMode::kBatched, PlanMode::kStaticGrid, 4, 4));
   EXPECT_EQ(single, RunRts(ProbeMode::kAuto, PlanMode::kStaticGrid, 4, 4));
+}
+
+// --- Engine-level: both finisher regimes ----------------------------------
+//
+// One workload per regime, large enough that its batches are real: a
+// clustered RTS battle (dense: a few thousand rows, hundreds of thousands
+// of candidates) and a 64-lane traffic ring (sparse: under one candidate
+// per vehicle, spread over 10k rows). A serial tick probes the whole
+// selection as one batch; threads and shards probe 2,048-row morsels. Each
+// test first checks its regime at both batch sizes on the first tick's
+// world, then holds batched probing at {1, 4 threads} x {1, 3 shards} to
+// ProbeMode::kSingle.
+
+constexpr size_t kMorselRows = 2048;  // ExecOptions::morsel_size default
+
+/// Regime of each `batch_rows`-row batch over a 2-D grid on `fields` of
+/// `cls`, with box [v + lo_off[k], v + hi_off[k]] on field k — the probe
+/// the workload's accum loop makes before its residual filter.
+std::vector<bool> BatchRegimes(Engine* engine, const char* cls,
+                               const char* const fields[2],
+                               const double lo_off[2], const double hi_off[2],
+                               size_t batch_rows) {
+  const ClassId id = engine->catalog().Find(cls);
+  const EntityTable& table = engine->world().table(id);
+  std::vector<std::vector<double>> coords(2);
+  for (size_t k = 0; k < 2; ++k) {
+    ConstNumberColumn col =
+        table.Num(engine->catalog().Get(id).FindState(fields[k]));
+    for (size_t i = 0; i < table.size(); ++i) coords[k].push_back(col[i]);
+  }
+  GridIndex grid(2);
+  grid.Build(coords);
+  std::vector<bool> dense;
+  ProbeBatch batch;
+  for (size_t m = 0; m < table.size(); m += batch_rows) {
+    const size_t count = std::min(batch_rows, table.size() - m);
+    BoxColumns b;
+    b.count = count;
+    b.lo.assign(2, std::vector<double>(count));
+    b.hi.assign(2, std::vector<double>(count));
+    for (size_t k = 0; k < 2; ++k) {
+      for (size_t p = 0; p < count; ++p) {
+        b.lo[k][p] = coords[k][m + p] + lo_off[k];
+        b.hi[k][p] = coords[k][m + p] + hi_off[k];
+      }
+      b.lo_ptr[k] = b.lo[k].data();
+      b.hi_ptr[k] = b.hi[k].data();
+    }
+    grid.QueryBatch(b.lo_ptr, b.hi_ptr, count, &batch);
+    dense.push_back(IsDense(batch));
+  }
+  return dense;
+}
+
+/// Expects every whole-selection batch and every 2,048-row morsel batch
+/// to be in the `dense` regime.
+void ExpectRegime(Engine* engine, const char* cls,
+                  const char* const fields[2], const double lo_off[2],
+                  const double hi_off[2], bool dense) {
+  const size_t rows =
+      engine->world().table(engine->catalog().Find(cls)).size();
+  ASSERT_GE(rows, 2 * kMorselRows);
+  for (size_t batch_rows : {rows, kMorselRows}) {
+    const std::vector<bool> regimes =
+        BatchRegimes(engine, cls, fields, lo_off, hi_off, batch_rows);
+    EXPECT_EQ(regimes, std::vector<bool>(regimes.size(), dense))
+        << batch_rows << "-row batches";
+  }
+}
+
+EngineOptions GridOpts(ProbeMode probe, int threads, int shards) {
+  EngineOptions options;
+  options.exec.planner.mode = PlanMode::kStaticGrid;
+  options.exec.probe_mode = probe;
+  options.exec.num_threads = threads;
+  options.exec.num_shards = shards;
+  return options;
+}
+
+TEST(ProbeModeParity, DenseClusteredRtsMatchesSingle) {
+  RtsConfig config;
+  config.num_units = 4096;
+  config.clustered = true;
+  config.num_clusters = 8;
+  config.cluster_radius = 40.0;
+  auto run = [&](ProbeMode probe, int threads, int shards) {
+    auto engine = RtsWorkload::Build(config, GridOpts(probe, threads, shards));
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    EXPECT_TRUE((*engine)->RunTicks(12).ok());
+    return WorldChecksum((*engine)->world());
+  };
+  {
+    auto engine = RtsWorkload::Build(config, GridOpts(ProbeMode::kSingle, 1, 1));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    const char* const fields[2] = {"x", "y"};
+    const double lo_off[2] = {-config.attack_range, -config.attack_range};
+    const double hi_off[2] = {config.attack_range, config.attack_range};
+    ExpectRegime(engine->get(), "Unit", fields, lo_off, hi_off,
+                 /*dense=*/true);
+  }
+  const uint64_t single = run(ProbeMode::kSingle, 1, 1);
+  for (int threads : {1, 4}) {
+    for (int shards : {1, 3}) {
+      EXPECT_EQ(single, run(ProbeMode::kBatched, threads, shards))
+          << threads << " threads, " << shards << " shards";
+    }
+  }
+}
+
+TEST(ProbeModeParity, SparseTrafficMatchesSingle) {
+  TrafficConfig config;  // 10k vehicles
+  config.num_lanes = 64;
+  auto run = [&](ProbeMode probe, int threads, int shards) {
+    auto engine =
+        TrafficWorkload::Build(config, GridOpts(probe, threads, shards));
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    EXPECT_TRUE((*engine)->RunTicks(12).ok());
+    return WorldChecksum((*engine)->world());
+  };
+  {
+    auto engine =
+        TrafficWorkload::Build(config, GridOpts(ProbeMode::kSingle, 1, 1));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    // The Follow script's box: lane == lane, x + 0.001 <= w.x <= x + 40.
+    const char* const fields[2] = {"lane", "x"};
+    const double lo_off[2] = {0.0, 0.001};
+    const double hi_off[2] = {0.0, config.horizon};
+    ExpectRegime(engine->get(), "Vehicle", fields, lo_off, hi_off,
+                 /*dense=*/false);
+  }
+  const uint64_t single = run(ProbeMode::kSingle, 1, 1);
+  for (int threads : {1, 4}) {
+    for (int shards : {1, 3}) {
+      EXPECT_EQ(single, run(ProbeMode::kBatched, threads, shards))
+          << threads << " threads, " << shards << " shards";
+    }
+  }
 }
 
 TEST(ProbeModeParity, ChecksumInvariantWithBytecodeAndAutoEval) {
