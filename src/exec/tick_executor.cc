@@ -185,17 +185,14 @@ void TickExecutor::RunUnit(
     RunOpsScalar(ops, selection, configure(0));
     return;
   }
-  if (options_.num_threads <= 1) {
-    RunOpsVectorized(ops, selection, configure(0));
-    return;
-  }
   // Static morsel -> shard assignment: morsel m runs on shard m % T,
   // each shard's morsels in increasing order — deterministic for a fixed
-  // thread count regardless of scheduling.
+  // thread count regardless of scheduling. A serial tick runs the same
+  // morsels in order, so its scratch and probe batches stay morsel-sized.
   const size_t morsel = options_.morsel_size;
-  const int T = options_.num_threads;
+  const int T = options_.num_threads > 1 ? options_.num_threads : 1;
   const size_t num_morsels = (selection.size() + morsel - 1) / morsel;
-  pool_->ParallelFor(T, [&](int t) {
+  auto run_morsels = [&](int t) {
     ExecEnv& env = configure(t);
     std::vector<RowIdx>& slice = workers_[static_cast<size_t>(t)]->slice;
     for (size_t m = static_cast<size_t>(t); m < num_morsels;
@@ -206,7 +203,12 @@ void TickExecutor::RunUnit(
                    selection.begin() + static_cast<ptrdiff_t>(end));
       RunOpsVectorized(ops, slice, env);
     }
-  });
+  };
+  if (T > 1) {
+    pool_->ParallelFor(T, run_morsels);
+  } else {
+    run_morsels(0);
+  }
 }
 
 Status TickExecutor::RunTick() {

@@ -90,6 +90,8 @@ void GridIndex::BuildCells() {
   for (size_t c = 0; c < num_cells; ++c) cell_start_[c + 1] += cell_start_[c];
   cell_items_.resize(n_);
   cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
+  // Scattering in ascending i keeps each cell's items ascending by row,
+  // the invariant the sparse probe finisher's merge relies on.
   for (size_t i = 0; i < n_; ++i) {
     cell_items_[cursor_[cell_of_[i]]++] = static_cast<RowIdx>(i);
   }

@@ -6,6 +6,12 @@
 // Rebuilt every tick, so Build reuses all internal buffers (coords copy,
 // CSR offsets/items, counting-sort scratch) at their high-water capacity:
 // a steady-state rebuild performs zero heap allocations.
+//
+// Build invariant: the counting sort scatters points in ascending row
+// order, so every cell's items are ascending by row. A box's candidates are
+// therefore one ascending run per cell it touches (the range filter keeps
+// input order), which lets FinishProbeBatch merge a sparse slice instead of
+// sorting it.
 
 #ifndef SGL_INDEX_GRID_INDEX_H_
 #define SGL_INDEX_GRID_INDEX_H_
@@ -49,12 +55,23 @@ class GridIndex {
   /// filter, and the next probe's span is prefetched. Candidates land in
   /// visit order; FinishProbeBatch turns them into ascending probe-order
   /// CSR — by two counting passes when the batch's row range is no larger
-  /// than its candidate count, else by per-slice sorts. Zero allocations
-  /// at buffer high-water.
+  /// than its candidate count, else slice by slice (copying a one-run slice,
+  /// merging a two-run one, sorting the rest). Zero allocations at buffer
+  /// high-water.
   void QueryBatch(const double* const* lo, const double* const* hi,
                   size_t num_probes, ProbeBatch* out) const;
 
   size_t MemoryBytes() const;
+
+  /// Number of cells, and the rows binned into cell c in CSR order
+  /// (ascending by row, per the build invariant). For inspection and tests.
+  size_t num_cells() const { return cell_start_.size() - 1; }
+  const RowIdx* cell_begin(size_t c) const {
+    return cell_items_.data() + cell_start_[c];
+  }
+  const RowIdx* cell_end(size_t c) const {
+    return cell_items_.data() + cell_start_[c + 1];
+  }
 
  private:
   /// Shared rebuild body: bins coords_ into the CSR cell layout.

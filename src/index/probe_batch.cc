@@ -40,13 +40,29 @@ void FinishProbeBatch(size_t num_probes, bool keyed, ProbeBatch* out) {
   const size_t range = static_cast<size_t>(row_max - row_min) + 1;
   if (range > n) {
     // Sparse batch: counting would touch more rows than there are
-    // candidates, so sort each slice where it lands.
+    // candidates, so order each slice where it lands. A grid slice is one
+    // ascending run per cell it touched, and a narrow box touches one or
+    // two: copy a sorted slice, merge a two-run slice straight into place,
+    // and sort only the rest (three or more runs, or an unordered backend).
     for (size_t v = 0; v < num_probes; ++v) {
-      RowIdx* dst = out->items.data() + cursor[probe_of(v)];
+      const RowIdx* src = cand + start[v];
       const uint32_t len = start[v + 1] - start[v];
-      std::copy(cand + start[v], cand + start[v + 1], dst);
-      std::sort(dst, dst + len);
+      RowIdx* dst = out->items.data() + cursor[probe_of(v)];
       cursor[probe_of(v)] += len;
+      uint32_t mid = std::min(len, 1u);  // end of the first run
+      while (mid < len && src[mid - 1] <= src[mid]) ++mid;
+      if (mid == len) {
+        std::copy(src, src + len, dst);
+        continue;
+      }
+      uint32_t end = mid + 1;  // end of the second run
+      while (end < len && src[end - 1] <= src[end]) ++end;
+      if (end == len) {
+        std::merge(src, src + mid, src + mid, src + len, dst);
+      } else {
+        std::copy(src, src + len, dst);
+        std::sort(dst, dst + len);
+      }
     }
     return;
   }

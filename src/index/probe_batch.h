@@ -13,7 +13,16 @@
 // When the batch's observed row range [min, max] spans no more rows than it
 // has candidates, the finisher orders the whole batch with two stable
 // counting passes (a sparse-matrix transpose there and back) and sorts
-// nothing; otherwise it sorts each slice. Both paths yield the same bytes.
+// nothing; otherwise it orders each slice on its own. Both paths yield the
+// same bytes.
+//
+// A backend may emit a probe's candidates in any order, but the sparse
+// path is cheapest on run-structured slices: a concatenation of ascending
+// runs. It detects runs by their descents, copies a one-run slice, merges a
+// two-run slice straight into place and sorts only slices of three or more
+// runs. GridIndex emits one ascending run per cell a box touches (see its
+// build invariant); RangeTree and PartitionedIndex emit unordered slices
+// and take the sort.
 //
 // All vectors grow amortized to their high-water mark and are pooled in
 // ExecScratch, so steady-state batched probing performs zero allocations.
@@ -66,7 +75,8 @@ struct ProbeBatch {
 /// owns tmp_items[tmp_start[v] .. tmp_start[v+1]) (tmp_start has
 /// num_probes + 1 entries) and belongs to probe `visit_keys[v] & 0xffffffff`
 /// when `keyed`, else to probe v. Each probe is visited exactly once. On
-/// return offsets/items hold the ascending probe-order CSR of the contract.
+/// return offsets/items hold the ascending probe-order CSR of the contract;
+/// a sparse batch leaves tmp_items/tmp_start as they were.
 void FinishProbeBatch(size_t num_probes, bool keyed, ProbeBatch* out);
 
 /// QueryBatch for indexes without a native batch walk: answers each box

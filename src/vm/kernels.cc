@@ -1,5 +1,7 @@
 #include "src/vm/kernels.h"
 
+#include <mutex>
+
 #include "src/vm/kernels_scalar.h"
 #if SGL_KERNELS_AVX2
 #include "src/vm/kernels_avx2.h"
@@ -8,8 +10,73 @@
 namespace sgl {
 
 namespace vm_internal {
-std::atomic<int64_t> g_simd_lanes{0};
+namespace {
+
+// Slots come in blocks; the first is static, so a process with at most
+// kSlotsPerBlock live counting threads never allocates one. Blocks are
+// never freed: their count is bounded by the peak number of live threads.
+constexpr size_t kSlotsPerBlock = 64;
+struct SlotBlock {
+  SimdLaneSlot slots[kSlotsPerBlock];
+  SlotBlock* next = nullptr;
+};
+
+struct LaneRegistry {
+  std::mutex mu;
+  SlotBlock first;
+  int64_t retired = 0;  ///< lanes counted by threads that have exited
+};
+LaneRegistry g_lanes;  // constant-initialized: usable before main()
+
+void ReleaseSimdLaneSlot(SimdLaneSlot* slot) {
+  std::lock_guard<std::mutex> lock(g_lanes.mu);
+  g_lanes.retired += slot->lanes.load(std::memory_order_relaxed);
+  slot->lanes.store(0, std::memory_order_relaxed);
+  slot->in_use = false;
+}
+
+// Thread-exit hook of a thread that holds a slot.
+struct SlotReleaser {
+  ~SlotReleaser() {
+    if (t_simd_lane_slot != nullptr) ReleaseSimdLaneSlot(t_simd_lane_slot);
+    t_simd_lane_slot = nullptr;
+  }
+};
+
+}  // namespace
+
+SimdLaneSlot* AcquireSimdLaneSlot() {
+  static thread_local SlotReleaser releaser;
+  (void)releaser;
+  std::lock_guard<std::mutex> lock(g_lanes.mu);
+  SlotBlock* block = &g_lanes.first;
+  for (;;) {
+    for (SimdLaneSlot& slot : block->slots) {
+      if (!slot.in_use) {
+        slot.in_use = true;
+        t_simd_lane_slot = &slot;
+        return &slot;
+      }
+    }
+    if (block->next == nullptr) block->next = new SlotBlock();
+    block = block->next;
+  }
+}
+
 }  // namespace vm_internal
+
+int64_t SimdLanesNow() {
+  using vm_internal::g_lanes;
+  std::lock_guard<std::mutex> lock(g_lanes.mu);
+  int64_t total = g_lanes.retired;
+  for (const vm_internal::SlotBlock* b = &g_lanes.first; b != nullptr;
+       b = b->next) {
+    for (const vm_internal::SimdLaneSlot& slot : b->slots) {
+      total += slot.lanes.load(std::memory_order_relaxed);
+    }
+  }
+  return total;
+}
 
 namespace {
 

@@ -139,21 +139,35 @@ const VmKernels& GetAvx2Kernels();
 #endif
 
 namespace vm_internal {
-// Process-wide count of lanes processed by SIMD (AVX2) kernel bodies.
-// Relaxed: it is a monotonic perf counter, never synchronizes anything.
-extern std::atomic<int64_t> g_simd_lanes;
+// Lanes processed by SIMD (AVX2) kernel bodies, counted per thread: each
+// thread owns one cache-line slot that only it writes, so a kernel call
+// adds with a plain load + store instead of an RMW on a line every worker
+// shares. Slots live in a process-wide registry; a thread takes one on its
+// first count and, when it exits, folds its count into a retired total and
+// frees the slot for the next thread. Relaxed atomics: a perf counter that
+// never synchronizes anything.
+struct alignas(64) SimdLaneSlot {
+  std::atomic<int64_t> lanes{0};  ///< written only by the owning thread
+  bool in_use = false;            ///< guarded by the registry mutex
+};
+inline thread_local SimdLaneSlot* t_simd_lane_slot = nullptr;
+/// Claims a free slot for the calling thread (first count only).
+SimdLaneSlot* AcquireSimdLaneSlot();
 }  // namespace vm_internal
 
 inline void AddSimdLanes(size_t lanes) {
-  vm_internal::g_simd_lanes.fetch_add(static_cast<int64_t>(lanes),
-                                      std::memory_order_relaxed);
+  vm_internal::SimdLaneSlot* slot = vm_internal::t_simd_lane_slot;
+  if (slot == nullptr) slot = vm_internal::AcquireSimdLaneSlot();
+  slot->lanes.store(slot->lanes.load(std::memory_order_relaxed) +
+                        static_cast<int64_t>(lanes),
+                    std::memory_order_relaxed);
 }
 
-/// Snapshot of the cumulative SIMD-lane counter; executors diff it around a
-/// tick to report TickStats::simd_lanes_used.
-inline int64_t SimdLanesNow() {
-  return vm_internal::g_simd_lanes.load(std::memory_order_relaxed);
-}
+/// Cumulative SIMD-lane count of every thread, live and exited; executors
+/// diff it around a tick to report TickStats::simd_lanes_used. Exact once
+/// the counting threads have synchronized with the caller (the tick's
+/// barriers); allocation-free.
+int64_t SimdLanesNow();
 
 }  // namespace sgl
 

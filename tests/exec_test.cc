@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/cpu_features.h"
+#include "src/debug/checkpoint.h"
 #include "src/engine/engine.h"
 
 namespace sgl {
@@ -420,6 +422,57 @@ script S for A {
   ASSERT_EQ(1u, stats.sites.size());
   EXPECT_EQ(50, stats.sites[0].outer_rows);
   EXPECT_EQ(50 * 50, stats.sites[0].matches);  // all within ±1 of x=0
+}
+
+// A serial tick runs its selection in morsel_size chunks, in order: the
+// morsels a multi-thread tick deals out round-robin. The world comes out
+// the same, and so do the SIMD-lane counts of the bytecode VM's per-morsel
+// kernel calls — which a single whole-selection pass would change, since
+// an AVX2 body counts only the multiple-of-4 prefix of each call's rows.
+TEST(Exec, SerialTickRunsMorselSizedChunks) {
+  constexpr char kSource[] = R"sgl(
+class A {
+  state:
+    number x = 0;
+    number y = 0;
+  effects:
+    number d : sum;
+  update:
+    y = y + d;
+}
+script S for A {
+  accum number c with sum over A w from A {
+    if (w.x >= x - 2 && w.x <= x + 2) { c <- w.x / 7; }
+  } in { d <- c * 0.5 + x / 3; }
+}
+)sgl";
+  auto run = [&](int threads, size_t morsel, int64_t* lanes) {
+    EngineOptions options;
+    options.exec.num_threads = threads;
+    options.exec.morsel_size = morsel;
+    options.exec.eval_mode = EvalMode::kBytecode;
+    auto engine = Engine::Create(kSource, options);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE((*engine)
+                      ->Spawn("A", {{"x", Value::Number(i % 37)}})
+                      .ok());
+    }
+    *lanes = 0;
+    for (int t = 0; t < 3; ++t) {
+      EXPECT_TRUE((*engine)->Tick().ok());
+      *lanes += (*engine)->last_stats().simd_lanes_used;
+    }
+    return WorldChecksum((*engine)->world());
+  };
+  int64_t serial_lanes = 0, parallel_lanes = 0, whole_lanes = 0;
+  const uint64_t serial = run(1, 6, &serial_lanes);
+  EXPECT_EQ(serial, run(4, 6, &parallel_lanes));
+  EXPECT_EQ(serial, run(1, 2048, &whole_lanes));
+  EXPECT_EQ(serial_lanes, parallel_lanes);
+  if (ActiveKernelDispatch() == KernelDispatch::kAvx2) {
+    EXPECT_NE(serial_lanes, whole_lanes);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 
 #include "src/common/rng.h"
 #include "src/index/grid_index.h"
@@ -185,6 +187,37 @@ TEST(Grid, UsesLinearMemory) {
   auto coords2 = coords;
   tree.Build(coords2);
   EXPECT_LT(grid.MemoryBytes(), tree.MemoryBytes());
+}
+
+// The sparse probe finisher merges a grid slice's per-cell runs, which
+// holds only if every cell lists its rows ascending — on a first build and
+// on rebuilds that reuse the buffers, in 1-3 dims and with points piled
+// onto a few coordinates.
+TEST(Grid, CellItemsAscendByRow) {
+  Rng rng(9);
+  for (int d = 1; d <= 3; ++d) {
+    GridIndex grid(d);
+    for (int round = 0; round < 3; ++round) {
+      auto coords = RandomPoints(3000, d, &rng);
+      if (round == 2) {
+        for (auto& col : coords) {
+          for (double& v : col) v = std::floor(v / 25) * 25;
+        }
+      }
+      grid.Build(coords);
+      ASSERT_GT(grid.num_cells(), 1u);
+      size_t binned = 0;
+      for (size_t c = 0; c < grid.num_cells(); ++c) {
+        // Strictly ascending: no row out of order, none repeated.
+        EXPECT_EQ(std::adjacent_find(grid.cell_begin(c), grid.cell_end(c),
+                                     std::greater_equal<RowIdx>()),
+                  grid.cell_end(c))
+            << d << "-D round " << round << " cell " << c;
+        binned += static_cast<size_t>(grid.cell_end(c) - grid.cell_begin(c));
+      }
+      EXPECT_EQ(binned, grid.size());
+    }
+  }
 }
 
 // --- Partitioned index (shared-nothing simulation, §4.2) --------------------

@@ -6,16 +6,21 @@
 // zeros for the div/mod guards, negatives for the sqrt guard) and over
 // lengths that exercise the 4-lane vector body, the scalar tail, and the
 // empty edge. This is the ground truth behind the engine-level promise that
-// kernel dispatch can never change a world checksum.
+// kernel dispatch can never change a world checksum. The SIMD-lane counter
+// the AVX2 bodies feed is checked for exactness across threads, shards and
+// exited threads.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "src/common/cpu_features.h"
 #include "src/common/rng.h"
+#include "src/engine/engine.h"
+#include "src/sim/traffic.h"
 #include "src/vm/kernels.h"
 
 namespace sgl {
@@ -58,7 +63,9 @@ std::vector<RowIdx> RandomSel(Rng* rng, size_t n) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure() << "size mismatch";
   }
-  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
+  // An empty vector's data() may be null, which memcmp must not see.
+  if (a.empty() ||
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
     return ::testing::AssertionSuccess();
   }
   for (size_t i = 0; i < a.size(); ++i) {
@@ -335,6 +342,81 @@ TEST(KernelDispatch, RequestingAvx2WithoutCpuSupportStaysScalar) {
 TEST(KernelDispatch, NamesAreStable) {
   EXPECT_STREQ(KernelDispatchName(KernelDispatch::kScalar), "scalar");
   EXPECT_STREQ(KernelDispatchName(KernelDispatch::kAvx2), "avx2");
+}
+
+// --- SIMD-lane counting ---------------------------------------------------
+//
+// Each thread counts its lanes in its own slot; SimdLanesNow() sums the
+// live slots and the counts of threads that have exited. A tick's lanes
+// come from its kernel calls — the range filter over each probe's CSR span
+// and the filter/fold chunks of each morsel — which are the same whichever
+// threads or shards run them, so an exact count reads the same in every
+// execution shape.
+
+/// simd_lanes_used of each of 4 ticks of the 64-lane traffic ring.
+std::vector<int64_t> TickLanes(int threads, int shards) {
+  TrafficConfig config;
+  config.num_lanes = 64;
+  EngineOptions options;
+  options.exec.planner.mode = PlanMode::kStaticGrid;
+  options.exec.num_threads = threads;
+  options.exec.num_shards = shards;
+  auto engine = TrafficWorkload::Build(config, options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  std::vector<int64_t> lanes;
+  if (!engine.ok()) return lanes;
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_TRUE((*engine)->Tick().ok());
+    lanes.push_back((*engine)->last_stats().simd_lanes_used);
+  }
+  return lanes;
+}
+
+TEST(SimdLaneCount, ExactAcrossThreadsAndShards) {
+  const std::vector<int64_t> serial = TickLanes(1, 1);
+  // Zero unless the AVX2 table runs (so zero under SGL_FORCE_SCALAR=1).
+  const bool avx2 = ActiveKernelDispatch() == KernelDispatch::kAvx2;
+  for (int64_t lanes : serial) {
+    if (avx2) {
+      EXPECT_GT(lanes, 0);
+    } else {
+      EXPECT_EQ(lanes, 0);
+    }
+  }
+  EXPECT_EQ(serial, TickLanes(4, 1));
+  EXPECT_EQ(serial, TickLanes(1, 3));
+  EXPECT_EQ(serial, TickLanes(4, 3));
+}
+
+TEST(SimdLaneCount, ScalarTableCountsNone) {
+  SetKernelDispatch(KernelDispatch::kScalar);
+  EXPECT_EQ(TickLanes(4, 3), std::vector<int64_t>(4, 0));
+  ResetKernelDispatch();
+}
+
+TEST(SimdLaneCount, ExitedThreadsKeepTheirCounts) {
+  const int64_t before = SimdLanesNow();
+  // Sequential short-lived threads each take a slot, count, and give it
+  // back on exit; concurrent ones each count into their own.
+  for (int i = 0; i < 100; ++i) std::thread([] { AddSimdLanes(3); }).join();
+  EXPECT_EQ(SimdLanesNow() - before, 300);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < 10000; ++i) AddSimdLanes(4);
+    });
+  }
+  // A reader summing while the writers count sees a total that never
+  // goes down.
+  int64_t last = SimdLanesNow(), drops = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t now = SimdLanesNow();
+    drops += now < last ? 1 : 0;
+    last = now;
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(drops, 0);
+  EXPECT_EQ(SimdLanesNow() - before, 300 + 4 * 10000 * 4);
 }
 
 }  // namespace
