@@ -16,7 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "src/debug/checkpoint.h"
-#include "src/shard/shard_executor.h"
+#include "src/engine/engine.h"
 
 namespace {
 

@@ -34,9 +34,9 @@
 // thread.
 //
 // Threading shape: Submit / InstallDue / CancelAll / SampleTick run on the
-// barrier thread only (the update phase is single-threaded in both
-// executors). Workers touch a slot only between claiming it from the
-// pending queue and releasing its `done` flag; the slot arena, snapshot
+// barrier thread only (the executor's update phase is single-threaded in
+// every shard layout). Workers touch a slot only between claiming it from
+// the pending queue and releasing its `done` flag; the slot arena, snapshot
 // pool, and client registry are barrier-owned, and everything a worker
 // dereferences is address-stable. Clients must register before the first
 // Submit.
@@ -145,7 +145,7 @@ class JobClient {
   virtual void Install(const JobSlot& job) = 0;
 };
 
-/// Per-tick job counters (sampled into TickStats by the executors).
+/// Per-tick job counters (sampled into TickStats by the executor).
 struct JobTickStats {
   int64_t submitted = 0;   ///< since the previous sample
   int64_t installed = 0;   ///< at the last barrier

@@ -3,9 +3,9 @@
 // When built with SGL_COUNT_ALLOCS (the default), alloc_hook.cc replaces the
 // global operator new/delete with malloc-backed versions that bump two
 // process-wide relaxed atomics per allocation. TickExecutor snapshots them
-// around each tick to expose TickStats::allocs_per_tick / bytes_per_tick —
-// the counters the steady-state regression test and the benchmarks assert
-// on. Cost is one relaxed fetch_add per allocation, which is noise next to
+// around each tick, in every shard layout, to expose
+// TickStats::allocs_per_tick / bytes_per_tick — the counters the
+// steady-state regression test and the benchmarks assert on. Cost is one relaxed fetch_add per allocation, which is noise next to
 // the allocation itself; an embedding engine can compile the hook out with
 // -DSGL_COUNT_ALLOCS=OFF, in which case the counters read as zero.
 

@@ -47,7 +47,7 @@ class EffectTracer {
   void set_watch_all(bool on) { watch_all_ = on; }
   bool watch_all() const { return watch_all_; }
 
-  /// Makes worker-slot lanes [0, n) available; the executors call it at
+  /// Makes worker-slot lanes [0, n) available; the executor calls it at
   /// tick start with their slot count.
   void ReserveLanes(int n) { lanes_.Reserve(n); }
 

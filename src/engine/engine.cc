@@ -6,6 +6,15 @@ namespace sgl {
 
 StatusOr<std::unique_ptr<Engine>> Engine::Create(
     const std::string& source, const EngineOptions& options) {
+  // Reject options that would fault later: a zero morsel divides by zero
+  // (or never advances), and shard ids must fit a byte.
+  if (options.exec.morsel_size < 1) {
+    return Status::InvalidArgument("exec.morsel_size must be >= 1");
+  }
+  if (options.exec.num_shards > 254) {
+    return Status::InvalidArgument("exec.num_shards must be <= 254, got " +
+                                   std::to_string(options.exec.num_shards));
+  }
   auto engine = std::unique_ptr<Engine>(new Engine());
   SGL_ASSIGN_OR_RETURN(engine->program_, CompileSource(source));
   engine->world_ = std::make_unique<World>(engine->program_->catalog.get());
@@ -22,15 +31,11 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(
   if (options.exec.num_shards > 1) {
     engine->sharded_world_ = std::make_unique<ShardedWorld>(
         engine->world_.get(), options.exec.num_shards);
-    engine->shard_exec_ = std::make_unique<ShardExecutor>(
-        engine->world_.get(), engine->sharded_world_.get(),
-        engine->program_.get(), options.exec);
-    SGL_RETURN_IF_ERROR(engine->shard_exec_->Init());
-  } else {
-    engine->executor_ = std::make_unique<TickExecutor>(
-        engine->world_.get(), engine->program_.get(), options.exec);
-    SGL_RETURN_IF_ERROR(engine->executor_->Init());
   }
+  engine->executor_ = std::make_unique<TickExecutor>(
+      engine->world_.get(), engine->sharded_world_.get(),
+      engine->program_.get(), options.exec);
+  SGL_RETURN_IF_ERROR(engine->executor_->Init());
   return engine;
 }
 
@@ -49,8 +54,7 @@ Status Engine::AddPathfinder(const PathfinderConfig& config, GridMap map) {
 
 Status Engine::AddAsyncPathfinder(const AsyncPathfinderConfig& config,
                                   GridMap map) {
-  JobService& jobs =
-      shard_exec_ != nullptr ? shard_exec_->jobs() : executor_->jobs();
+  JobService& jobs = executor_->jobs();
   SGL_ASSIGN_OR_RETURN(
       auto comp,
       AsyncPathfindComponent::Create(catalog(), config, std::move(map),
@@ -59,9 +63,6 @@ Status Engine::AddAsyncPathfinder(const AsyncPathfinderConfig& config,
 }
 
 Status Engine::AddComponent(std::unique_ptr<UpdateComponent> component) {
-  if (shard_exec_ != nullptr) {
-    return shard_exec_->RegisterComponent(std::move(component));
-  }
   return executor_->RegisterComponent(std::move(component));
 }
 
@@ -87,7 +88,6 @@ Status Engine::Set(EntityId id, const std::string& field, const Value& v) {
 }
 
 Status Engine::Tick() {
-  if (shard_exec_ != nullptr) return shard_exec_->RunTick();
   return executor_->RunTick();
 }
 
@@ -103,14 +103,9 @@ Checkpoint Engine::TakeCheckpoint() const {
   if (sharded_world_ != nullptr) {
     sharded_world_->SerializePartition(&cp.shard_partition);
   }
-  JobService* jobs = shard_exec_ != nullptr ? shard_exec_->jobs_or_null()
-                                            : executor_->jobs_or_null();
+  JobService* jobs = executor_->jobs_or_null();
   if (jobs != nullptr) jobs->SerializeInFlight(&cp.jobs);
-  if (shard_exec_ != nullptr) {
-    shard_exec_->components().SerializeState(&cp.components);
-  } else {
-    executor_->components().SerializeState(&cp.components);
-  }
+  executor_->components().SerializeState(&cp.components);
   return cp;
 }
 
@@ -118,11 +113,10 @@ Status Engine::Restore(const Checkpoint& cp) {
   // In-flight jobs belong to the pre-restore trajectory: cancel them
   // before the world changes underneath their submissions. Whether they
   // come back depends on the checkpoint's fidelity sections below.
-  JobService* jobs = shard_exec_ != nullptr ? shard_exec_->jobs_or_null()
-                                            : executor_->jobs_or_null();
+  JobService* jobs = executor_->jobs_or_null();
   if (jobs != nullptr) jobs->CancelAll();
   SGL_RETURN_IF_ERROR(RestoreCheckpoint(cp, world_.get()));
-  if (shard_exec_ != nullptr) {
+  if (sharded_world_ != nullptr) {
     // Moves queued against the pre-restore world must not replay here.
     sharded_world_->ClearPendingMigrations();
     if (!cp.shard_partition.empty()) {
@@ -138,13 +132,9 @@ Status Engine::Restore(const Checkpoint& cp) {
     } else {
       sharded_world_->PartitionBlock();
     }
-    shard_exec_->set_tick(cp.tick);
-  } else {
-    executor_->set_tick(cp.tick);
   }
-  ComponentRegistry& components = shard_exec_ != nullptr
-                                      ? shard_exec_->components()
-                                      : executor_->components();
+  executor_->set_tick(cp.tick);
+  ComponentRegistry& components = executor_->components();
   // Fidelity path: re-create in-flight jobs at their contracted install
   // ticks and reload the components' cross-tick caches — the restored run
   // then replays bit-identically to one that never stopped. Any section
@@ -173,17 +163,11 @@ Status Engine::Restore(const Checkpoint& cp) {
     // the pre-restore trajectory and must drop.
     components.NotifyRestore();
   }
-  if (shard_exec_ != nullptr) {
-    shard_exec_->ResetStatsAfterRestore();
-  } else {
-    executor_->ResetStatsAfterRestore();
-  }
+  executor_->ResetStatsAfterRestore();
   // The flight recorder's ring describes the abandoned timeline: give it a
   // chance to dump the pre-crash window ("crash.restore"), then clear it
   // so the recovered run's frames never mix with stale ones.
-  FlightRecorder* recorder = shard_exec_ != nullptr
-                                 ? shard_exec_->options().recorder
-                                 : executor_->options().recorder;
+  FlightRecorder* recorder = executor_->options().recorder;
   if (recorder != nullptr) recorder->NotifyRestore(cp.tick, world_.get());
   return Status::OK();
 }

@@ -8,8 +8,9 @@
 //   double hp = engine->Get(id, "health")->AsNumber();
 //
 // Create() parses + compiles the program (schema generation, §2.1), builds
-// the World with the chosen storage layout, and wires the executor with the
-// built-in update components (transaction engine + expression updater).
+// the World with the chosen storage layout (partitioned into shards when
+// exec.num_shards > 1), and wires the one TickExecutor with the built-in
+// update components (transaction engine + expression updater).
 // Physics / pathfinding components attach via AddPhysics / AddPathfinder
 // (§2.2). Debugging (§3.3) is exposed through inspector/tracer/checkpoint
 // accessors.
@@ -27,7 +28,7 @@
 #include "src/debug/tracer.h"
 #include "src/exec/tick_executor.h"
 #include "src/lang/compiler.h"
-#include "src/shard/shard_executor.h"
+#include "src/shard/sharded_world.h"
 #include "src/update/pathfind.h"
 #include "src/update/physics.h"
 
@@ -36,9 +37,8 @@ namespace sgl {
 /// Engine construction options.
 struct EngineOptions {
   /// exec.num_shards > 1 partitions the world into row-range shards with
-  /// cross-shard effect routing and drives the sharded pipeline
-  /// (src/shard/) instead of TickExecutor; the remaining exec fields keep
-  /// their meaning.
+  /// cross-shard effect routing (src/shard/); the same TickExecutor runs
+  /// every layout and the remaining exec fields keep their meaning.
   ExecOptions exec;
   /// Storage layout for numeric state columns (§2.1). kAffinity uses the
   /// attribute co-occurrence mined by the compiler.
@@ -47,27 +47,26 @@ struct EngineOptions {
 
 class Engine {
  public:
-  /// Compiles `source` and builds a ready-to-tick engine.
+  /// Compiles `source` and builds a ready-to-tick engine. InvalidArgument
+  /// when exec.morsel_size is 0 or exec.num_shards exceeds 254.
   static StatusOr<std::unique_ptr<Engine>> Create(
       const std::string& source, const EngineOptions& options = {});
 
   World& world() { return *world_; }
   const Catalog& catalog() const { return *program_->catalog; }
   const CompiledProgram& program() const { return *program_; }
-  /// The single-world executor. Only valid when exec.num_shards <= 1.
-  TickExecutor& executor() {
-    SGL_CHECK(executor_ != nullptr && "engine is sharded; use sharded_*");
-    return *executor_;
-  }
-  /// Sharded mode only (exec.num_shards > 1).
-  bool sharded() const { return shard_exec_ != nullptr; }
+  /// The tick executor, whatever the shard layout.
+  TickExecutor& executor() { return *executor_; }
+  /// True when exec.num_shards > 1.
+  bool sharded() const { return sharded_world_ != nullptr; }
   ShardedWorld& sharded_world() {
-    SGL_CHECK(sharded_world_ != nullptr && "engine is not sharded");
+    SGL_CHECK(sharded() && "engine is not sharded");
     return *sharded_world_;
   }
-  ShardExecutor& shard_executor() {
-    SGL_CHECK(shard_exec_ != nullptr && "engine is not sharded");
-    return *shard_exec_;
+  /// executor(), asserted to run a sharded world.
+  TickExecutor& shard_executor() {
+    SGL_CHECK(sharded() && "engine is not sharded");
+    return *executor_;
   }
 
   /// Attaches a physics component (§2.2). Call before the first tick.
@@ -94,7 +93,7 @@ class Engine {
   //
   // Asynchronous results do NOT change this picture: JobService
   // completions install at the tick barrier *before any* component runs
-  // (TickExecutor / ShardExecutor call InstallDue first), in an order
+  // (TickExecutor calls InstallDue first, in every layout), in an order
   // fixed at submission time. A component observes a job's result at
   // exactly tick `submit + latency`, regardless of worker count, shard
   // count, thread count, or registration order — async completion is a
@@ -113,14 +112,9 @@ class Engine {
   /// Runs one tick / n ticks.
   Status Tick();
   Status RunTicks(int n);
-  sgl::Tick tick() const {
-    return shard_exec_ != nullptr ? shard_exec_->tick() : executor_->tick();
-  }
+  sgl::Tick tick() const { return executor_->tick(); }
 
-  const TickStats& last_stats() const {
-    return shard_exec_ != nullptr ? shard_exec_->last_stats()
-                                  : executor_->last_stats();
-  }
+  const TickStats& last_stats() const { return executor_->last_stats(); }
 
   // --- Debugging (§3.3) ---------------------------------------------------
 
@@ -128,13 +122,7 @@ class Engine {
   std::string ExplainPlans() const { return program_->Explain(); }
   Inspector inspector() const { return Inspector(world_.get()); }
   /// Attaches a tracer (null detaches).
-  void SetTracer(EffectTracer* tracer) {
-    if (shard_exec_ != nullptr) {
-      shard_exec_->set_trace(tracer);
-    } else {
-      executor_->set_trace(tracer);
-    }
-  }
+  void SetTracer(EffectTracer* tracer) { executor_->set_trace(tracer); }
   /// Snapshot / resume. Sharded engines also capture the shard partition,
   /// so Restore resumes the exact post-migration ranges. Checkpoints are
   /// tick-boundary snapshots that also capture async jobs still in flight
@@ -154,9 +142,9 @@ class Engine {
 
   std::unique_ptr<CompiledProgram> program_;
   std::unique_ptr<World> world_;
-  std::unique_ptr<TickExecutor> executor_;      ///< exec.num_shards <= 1
-  std::unique_ptr<ShardedWorld> sharded_world_; ///< exec.num_shards > 1
-  std::unique_ptr<ShardExecutor> shard_exec_;
+  std::unique_ptr<ShardedWorld> sharded_world_;  ///< exec.num_shards > 1
+  /// Declared after the worlds it borrows, so it is destroyed first.
+  std::unique_ptr<TickExecutor> executor_;
 };
 
 }  // namespace sgl

@@ -5,6 +5,8 @@
 #include "src/common/alloc_hook.h"
 #include "src/common/stopwatch.h"
 #include "src/fault/fault_injector.h"
+#include "src/shard/shard_router.h"
+#include "src/shard/sharded_world.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 #include "src/update/expr_updater.h"
@@ -40,9 +42,11 @@ void TickStats::Reset(Tick now) {
   txn = TxnStats();
 }
 
-TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
+TickExecutor::TickExecutor(World* world, ShardedWorld* sharded,
+                           const CompiledProgram* program,
                            ExecOptions options)
     : world_(world),
+      sharded_(sharded),
       program_(program),
       options_(options),
       controller_(options.planner, program->num_sites),
@@ -56,14 +60,60 @@ TickExecutor::TickExecutor(World* world, const CompiledProgram* program,
     vm_cache_->set_telemetry(options_.telemetry);
     vm_cache_->CompileProgram(*program_);
   }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  if (sharded_ != nullptr) {
+    // One shard needs no ShardedWorld: that layout is sharded_ == null.
+    SGL_CHECK(options_.num_shards == sharded_->num_shards() &&
+              options_.num_shards > 1);
+    num_shards_ = sharded_->num_shards();
+  } else {
+    SGL_CHECK(options_.num_shards <= 1);
   }
+  const int threads = options_.num_threads > 1 ? options_.num_threads : 1;
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   site_cache_.resize(static_cast<size_t>(program_->num_sites));
   prepared_.resize(static_cast<size_t>(program_->num_sites));
   script_locals_.resize(program_->scripts.size());
-  script_selections_.resize(program_->scripts.size());
   handler_locals_.resize(program_->handlers.size());
+
+  // Worker slots: one per shard, or one per thread when S = 1.
+  const int num_workers = num_shards_ > 1 ? num_shards_ : threads;
+  const int num_classes = world_->catalog().num_classes();
+  for (int w = 0; w < num_workers; ++w) {
+    auto worker = std::make_unique<Worker>();
+    ExecEnv& env = worker->env;
+    env.world = world_;
+    if (sharded_ != nullptr) {
+      worker->router = std::make_unique<ShardRouter>(sharded_, w);
+      env.router = worker->router.get();
+    } else {
+      env.effect_sinks.resize(static_cast<size_t>(num_classes));
+      for (ClassId c = 0; c < num_classes; ++c) {
+        EffectBuffer* sink = &world_->effects(c);
+        if (num_workers > 1) {
+          worker->effects.push_back(
+              std::make_unique<EffectBuffer>(&world_->catalog().Get(c)));
+          sink = worker->effects.back().get();
+        }
+        env.effect_sinks[static_cast<size_t>(c)] = sink;
+      }
+    }
+    env.prepared = &prepared_;
+    env.feedback = &worker->feedback;
+    env.scratch = &worker->scratch;
+    env.vm = vm_cache_.get();
+    env.telemetry = options_.telemetry;
+    // Chrome pid: 0 is the "world" track (the barrier thread and every
+    // unsharded span), s + 1 is world shard s.
+    env.tel_track = static_cast<uint8_t>(num_shards_ > 1 ? w + 1 : 0);
+    env.trace_lane = w;
+    for (const CompiledScript& script : program_->scripts) {
+      worker->script_selections.emplace_back(
+          static_cast<size_t>(script.num_phases()));
+    }
+    worker->handler_rows.resize(program_->handlers.size());
+    worker->handler_selections.resize(program_->handlers.size());
+    workers_.push_back(std::move(worker));
+  }
 }
 
 TickExecutor::~TickExecutor() = default;
@@ -85,42 +135,116 @@ Status TickExecutor::RegisterComponent(
   return components_.Register(program_->catalog.get(), std::move(component));
 }
 
-void TickExecutor::EnsureWorkers(int shards) {
-  const int num_classes = world_->catalog().num_classes();
-  if (shards > 1 && shard_effects_.size() != static_cast<size_t>(shards)) {
-    shard_effects_.clear();
-    shard_effects_.resize(static_cast<size_t>(shards));
-    for (auto& per_class : shard_effects_) {
-      for (ClassId c = 0; c < num_classes; ++c) {
-        per_class.push_back(
-            std::make_unique<EffectBuffer>(&world_->catalog().Get(c)));
+void TickExecutor::ComputeSelections(int shard) {
+  Worker& ws = *workers_[static_cast<size_t>(shard)];
+  auto range_of = [&](ClassId cls, RowIdx* begin, RowIdx* end) {
+    *begin = sharded_ != nullptr ? sharded_->shard_begin(cls, shard) : 0;
+    *end = sharded_ != nullptr
+               ? sharded_->shard_end(cls, shard)
+               : static_cast<RowIdx>(world_->table(cls).size());
+  };
+  // Range iota: a pure function of [begin, end), rebuilt only when the
+  // range moved (spawns, despawns, migrations).
+  auto iota = [](RowIdx begin, RowIdx end, std::vector<RowIdx>* rows) {
+    if (rows->size() == static_cast<size_t>(end - begin) &&
+        (rows->empty() || (*rows)[0] == begin)) {
+      return;
+    }
+    rows->resize(end - begin);
+    for (RowIdx r = begin; r < end; ++r) {
+      (*rows)[static_cast<size_t>(r - begin)] = r;
+    }
+  };
+
+  // Scripts: the shard's slice of every class extent, dispatched on the PC
+  // column for multi-phase scripts (§3.2).
+  for (size_t si = 0; si < program_->scripts.size(); ++si) {
+    const CompiledScript& script = program_->scripts[si];
+    auto& selections = ws.script_selections[si];
+    RowIdx begin, end;
+    range_of(script.cls, &begin, &end);
+    if (script.num_phases() == 1) {
+      iota(begin, end, &selections[0]);
+    } else {
+      for (auto& sel : selections) sel.clear();
+      ConstNumberColumn pc = world_->table(script.cls).Num(script.pc_state);
+      for (RowIdx r = begin; r < end; ++r) {
+        int phase = static_cast<int>(pc[r]);
+        if (phase < 0 || phase >= script.num_phases()) phase = 0;
+        selections[static_cast<size_t>(phase)].push_back(r);
       }
     }
-    workers_.clear();  // sink tables must be rebuilt
   }
-  if (workers_.size() == static_cast<size_t>(shards)) return;
-  workers_.clear();
-  for (int s = 0; s < shards; ++s) {
-    auto w = std::make_unique<WorkerState>();
-    ExecEnv& env = w->env;
-    env.world = world_;
-    env.effect_sinks.resize(static_cast<size_t>(num_classes));
-    for (ClassId c = 0; c < num_classes; ++c) {
-      env.effect_sinks[static_cast<size_t>(c)] =
-          shards == 1 ? &world_->effects(c)
-                      : shard_effects_[static_cast<size_t>(s)]
-                                      [static_cast<size_t>(c)].get();
+
+  // Handlers (§3.2): evaluate the condition over the shard's range.
+  // Conditions only read prior state and their own zeroed locals, both
+  // unchanged throughout the query phase, so evaluating them before the
+  // scripts run is the same as evaluating them after.
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    const CompiledHandler& handler = program_->handlers[hi];
+    RowIdx begin, end;
+    range_of(handler.cls, &begin, &end);
+    auto& rows = ws.handler_rows[hi];
+    iota(begin, end, &rows);
+    auto& selection = ws.handler_selections[hi];
+    selection.clear();
+    if (rows.empty()) continue;
+    if (options_.interpreted) {
+      ScalarContext ctx;
+      ctx.world = world_;
+      ctx.outer_cls = handler.cls;
+      ctx.locals = &handler_locals_[hi];
+      for (RowIdx row : rows) {
+        ctx.outer_row = row;
+        if (EvalScalarBool(*handler.cond, ctx)) selection.push_back(row);
+      }
+    } else {
+      VecContext ctx;
+      ctx.world = world_;
+      ctx.outer = &world_->table(handler.cls);
+      ctx.outer_rows = &rows;
+      ctx.locals = &handler_locals_[hi];
+      ctx.scratch = &ws.scratch;
+      const VmProgram* cond_vm =
+          vm_cache_ != nullptr ? vm_cache_->Value(handler.cond.get())
+                               : nullptr;
+      if (cond_vm != nullptr) {
+        VmEvalBool(*cond_vm, ctx, &ws.scratch.vm, nullptr, 0,
+                   &ws.handler_keep);
+      } else {
+        EvalBool(*handler.cond, ctx, &ws.handler_keep);
+      }
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (ws.handler_keep[i]) selection.push_back(rows[i]);
+      }
     }
-    env.scratch = &w->scratch;
-    env.vm = vm_cache_.get();
-    env.telemetry = options_.telemetry;
-    env.tel_track = 0;  // unsharded: every span renders under pid "world"
-    env.trace_lane = s;
-    workers_.push_back(std::move(w));
   }
 }
 
-void TickExecutor::PrepareSites(
+void TickExecutor::PrepareSites() {
+  // Site ids are program-unique, so one pass over every unit prepares each
+  // site exactly once, for every shard, with the global outer-row count
+  // (slots past the shard count hold empty selections).
+  for (size_t si = 0; si < program_->scripts.size(); ++si) {
+    const CompiledScript& script = program_->scripts[si];
+    for (size_t k = 0; k < script.phases.size(); ++k) {
+      size_t total = 0;
+      for (const auto& ws : workers_) {
+        total += ws->script_selections[si][k].size();
+      }
+      if (total == 0) continue;
+      PrepareUnitSites(script.phases[k], total);
+    }
+  }
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    size_t total = 0;
+    for (const auto& ws : workers_) total += ws->handler_selections[hi].size();
+    if (total == 0) continue;
+    PrepareUnitSites(program_->handlers[hi].ops, total);
+  }
+}
+
+void TickExecutor::PrepareUnitSites(
     const std::vector<std::unique_ptr<PlanOp>>& ops, size_t outer_rows) {
   for (const auto& op : ops) {
     if (op->kind != PlanOp::Kind::kAccum) continue;
@@ -135,7 +259,7 @@ void TickExecutor::PrepareSites(
     }
     // Backend axes (orthogonal to the join strategy): per-site bytecode
     // and batched-probe decisions, resolved here once per tick so every
-    // worker thread sees the same PreparedSite.
+    // worker sees the same PreparedSite.
     bool use_vm = false;
     bool probe_batched = false;
     if (!options_.interpreted) {
@@ -164,51 +288,113 @@ void TickExecutor::PrepareSites(
   }
 }
 
-void TickExecutor::RunUnit(
-    const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
-    const std::vector<RowIdx>& selection, LocalColumns* locals) {
-  auto configure = [&](int shard) -> ExecEnv& {
-    ExecEnv& env = workers_[static_cast<size_t>(shard)]->env;
-    env.tick = tick_;
+void TickExecutor::RunShard(int shard, int lanes) {
+  const Worker& ws = *workers_[static_cast<size_t>(shard)];
+  // One tick.query span per unit with one shard; shard.run covers S > 1.
+  Telemetry* const unit_tel = num_shards_ == 1 ? options_.telemetry : nullptr;
+  for (size_t si = 0; si < program_->scripts.size(); ++si) {
+    const CompiledScript& script = program_->scripts[si];
+    for (size_t k = 0; k < script.phases.size(); ++k) {
+      const auto& selection = ws.script_selections[si][k];
+      if (selection.empty()) continue;
+      SGL_TRACE_SPAN(unit_tel, kSpanTickQuery, tick_, 0,
+                     static_cast<uint16_t>(si));
+      RunUnit(script.phases[k], script.cls, selection, &script_locals_[si],
+              shard, lanes);
+    }
+  }
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    const CompiledHandler& handler = program_->handlers[hi];
+    const auto& selection = ws.handler_selections[hi];
+    if (selection.empty()) continue;
+    SGL_TRACE_SPAN(unit_tel, kSpanTickQuery, tick_, 0,
+                   static_cast<uint16_t>(hi));
+    RunUnit(handler.ops, handler.cls, selection, &handler_locals_[hi], shard,
+            lanes);
+  }
+}
+
+void TickExecutor::RunUnit(const std::vector<std::unique_ptr<PlanOp>>& ops,
+                           ClassId cls, const std::vector<RowIdx>& selection,
+                           LocalColumns* locals, int first, int lanes) {
+  // Static morsel -> lane assignment: morsel m runs on lane m % lanes, each
+  // lane's morsels in increasing order — deterministic regardless of
+  // scheduling. A single lane runs every morsel in order, so its scratch
+  // and probe batches stay morsel-sized either way.
+  const size_t morsel = options_.morsel_size;
+  const size_t num_morsels = (selection.size() + morsel - 1) / morsel;
+  auto run_lane = [&](int t) {
+    Worker& w = *workers_[static_cast<size_t>(first + t)];
+    ExecEnv& env = w.env;
     env.outer_cls = cls;
     env.outer = &world_->table(cls);
-    env.txn_sink = txn_.shard(shard);
     env.locals = locals;
-    env.prepared = &prepared_;
-    env.feedback = &feedback_shards_[static_cast<size_t>(shard)];
-    env.trace = trace_;
-    env.recorder_sink = recorder_sink_;
-    return env;
-  };
-
-  if (options_.interpreted) {
-    RunOpsScalar(ops, selection, configure(0));
-    return;
-  }
-  // Static morsel -> shard assignment: morsel m runs on shard m % T,
-  // each shard's morsels in increasing order — deterministic for a fixed
-  // thread count regardless of scheduling. A serial tick runs the same
-  // morsels in order, so its scratch and probe batches stay morsel-sized.
-  const size_t morsel = options_.morsel_size;
-  const int T = options_.num_threads > 1 ? options_.num_threads : 1;
-  const size_t num_morsels = (selection.size() + morsel - 1) / morsel;
-  auto run_morsels = [&](int t) {
-    ExecEnv& env = configure(t);
-    std::vector<RowIdx>& slice = workers_[static_cast<size_t>(t)]->slice;
+    if (options_.interpreted) {
+      RunOpsScalar(ops, selection, env);
+      return;
+    }
+    if (num_morsels == 1) {  // the whole selection is one morsel: no copy
+      RunOpsVectorized(ops, selection, env);
+      return;
+    }
     for (size_t m = static_cast<size_t>(t); m < num_morsels;
-         m += static_cast<size_t>(T)) {
-      size_t begin = m * morsel;
-      size_t end = std::min(selection.size(), begin + morsel);
-      slice.assign(selection.begin() + static_cast<ptrdiff_t>(begin),
-                   selection.begin() + static_cast<ptrdiff_t>(end));
-      RunOpsVectorized(ops, slice, env);
+         m += static_cast<size_t>(lanes)) {
+      const size_t begin = m * morsel;
+      const size_t end = std::min(selection.size(), begin + morsel);
+      w.slice.assign(selection.begin() + static_cast<ptrdiff_t>(begin),
+                     selection.begin() + static_cast<ptrdiff_t>(end));
+      RunOpsVectorized(ops, w.slice, env);
     }
   };
-  if (T > 1) {
-    pool_->ParallelFor(T, run_morsels);
+  if (lanes > 1 && num_morsels > 1) {
+    pool_->ParallelFor(lanes, run_lane);
   } else {
-    run_morsels(0);
+    run_lane(0);
   }
+}
+
+Status TickExecutor::MergeEffects() {
+  Telemetry* const tel = options_.telemetry;
+  const bool sharded = num_shards_ > 1;
+  if (sharded) {
+    if (options_.fault != nullptr) {
+      // Latency fault at the barrier entrance: every shard's query work is
+      // done, nothing has merged. Must be state-neutral — the stall-parity
+      // test holds the checksum to the no-fault run's.
+      options_.fault->MaybeStall(kFaultShardBarrierStall, tick_);
+    }
+    SGL_TRACE_SPAN(tel, kSpanMailboxFlip, tick_, 0, 0);
+    for (auto& ws : workers_) {
+      for (int d = 0; d < num_shards_; ++d) ws->router->lane(d).Flip();
+    }
+  }
+  if (options_.fault != nullptr) {
+    // Crash between query and merge: issued effects/intents (and routed
+    // records, stranded in flipped lanes) die with the process; state
+    // columns are still pre-tick. Recovery restores the last checkpoint
+    // and replays.
+    SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
+        sharded ? kFaultShardCrashPremerge : kFaultExecCrashPostQuery,
+        tick_));
+  }
+  if (!sharded) {
+    // Lane order; a serial tick wrote the world's buffers directly.
+    const int num_classes = world_->catalog().num_classes();
+    for (const auto& ws : workers_) {
+      if (ws->effects.empty()) continue;
+      for (ClassId c = 0; c < num_classes; ++c) {
+        world_->effects(c).MergeFrom(*ws->effects[static_cast<size_t>(c)]);
+      }
+    }
+    return Status::OK();
+  }
+  SGL_TRACE_SPAN(tel, kSpanMailboxReplay, tick_, 0, 0);
+  cross_records_ = 0;
+  for (auto& ws : workers_) {  // source-major: reproduces serial ⊕ order
+    ws->router->MergeInto(world_);
+    cross_records_ += ws->router->OutboundRecords();
+  }
+  return Status::OK();
 }
 
 Status TickExecutor::RunTick() {
@@ -219,193 +405,115 @@ Status TickExecutor::RunTick() {
   SGL_TRACE_SPAN(tel, kSpanTickTotal, tick_, 0, 0);
   last_.Reset(tick_);
   const int num_classes = world_->catalog().num_classes();
-  const int shards = options_.num_threads > 1 ? options_.num_threads : 1;
+  const int S = num_shards_;
+  const int num_workers = static_cast<int>(workers_.size());
   const int64_t index_micros_before = indexes_.build_micros();
   const int64_t simd_lanes_before = SimdLanesNow();
 
-  // --- Setup -----------------------------------------------------------
+  // --- 0. Setup --------------------------------------------------------
+  if (sharded_ != nullptr) sharded_->EnsurePartition();
   world_->ResetEffects();
   if (!options_.interpreted) stats_mgr_.MaybeRefresh(*world_, tick_);
   recorder_sink_ = options_.recorder != nullptr
                        ? options_.recorder->capture_sink()
                        : nullptr;
   for (EffectTracer* t : {trace_, recorder_sink_}) {
-    if (t != nullptr) t->ReserveLanes(shards);  // one lane per worker slot
+    if (t != nullptr) t->ReserveLanes(num_workers);  // one per worker slot
   }
   txn_.set_fault_tick(tick_);
   txn_.set_prov_sink(recorder_sink_);
-  txn_.BeginTick(shards);
-  EnsureWorkers(shards);
-  if (shards > 1) {
-    for (auto& per_class : shard_effects_) {
-      for (ClassId c = 0; c < num_classes; ++c) {
-        per_class[static_cast<size_t>(c)]->Reset(world_->table(c).size());
-      }
+  txn_.BeginTick(num_workers);
+  for (int w = 0; w < num_workers; ++w) {
+    Worker& worker = *workers_[static_cast<size_t>(w)];
+    if (worker.router != nullptr) worker.router->BeginTick();
+    for (size_t c = 0; c < worker.effects.size(); ++c) {
+      worker.effects[c]->Reset(world_->table(static_cast<ClassId>(c)).size());
     }
+    worker.feedback.assign(static_cast<size_t>(program_->num_sites),
+                           SiteFeedback());
+    ExecEnv& env = worker.env;
+    env.tick = tick_;
+    env.txn_sink = txn_.shard(w);
+    env.trace = trace_;
+    env.recorder_sink = recorder_sink_;
   }
-  if (feedback_shards_.size() != static_cast<size_t>(shards)) {
-    feedback_shards_.resize(static_cast<size_t>(shards));
-  }
-  for (auto& shard : feedback_shards_) {
-    shard.assign(static_cast<size_t>(program_->num_sites), SiteFeedback());
-  }
-
-  // --- 1. Query + effect phase ------------------------------------------
-  Stopwatch query_timer;
   for (size_t si = 0; si < program_->scripts.size(); ++si) {
-    const CompiledScript& script = program_->scripts[si];
-    EntityTable& table = world_->table(script.cls);
-    if (table.empty()) continue;
-    LocalColumns& locals = script_locals_[si];
-    AllocateLocalColumns(script.local_types, table.size(), &locals);
-
-    // Phase dispatch on the PC column (§3.2).
-    auto& selections = script_selections_[si];
-    if (selections.size() != static_cast<size_t>(script.num_phases())) {
-      selections.resize(static_cast<size_t>(script.num_phases()));
-    }
-    {
-      SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, 0,
-                     static_cast<uint16_t>(si));
-      if (script.num_phases() == 1) {
-        // The whole-extent selection is a pure function of the table size
-        // (iota); rebuild it only when spawns/despawns resized the class.
-        auto& all = selections[0];
-        if (all.size() != table.size()) {
-          all.resize(table.size());
-          for (size_t i = 0; i < table.size(); ++i) {
-            all[i] = static_cast<RowIdx>(i);
-          }
-        }
-      } else {
-        for (auto& sel : selections) sel.clear();
-        ConstNumberColumn pc = table.Num(script.pc_state);
-        for (size_t i = 0; i < table.size(); ++i) {
-          int phase = static_cast<int>(pc[i]);
-          if (phase < 0 || phase >= script.num_phases()) phase = 0;
-          selections[static_cast<size_t>(phase)].push_back(
-              static_cast<RowIdx>(i));
-        }
-      }
-    }
-    for (int k = 0; k < script.num_phases(); ++k) {
-      const auto& selection = selections[static_cast<size_t>(k)];
-      if (selection.empty()) continue;
-      {
-        SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0,
-                       static_cast<uint16_t>(si));
-        PrepareSites(script.phases[static_cast<size_t>(k)], selection.size());
-      }
-      SGL_TRACE_SPAN(tel, kSpanTickQuery, tick_, 0,
-                     static_cast<uint16_t>(si));
-      RunUnit(script.phases[static_cast<size_t>(k)], script.cls, selection,
-              &locals);
-    }
+    AllocateLocalColumns(program_->scripts[si].local_types,
+                         world_->table(program_->scripts[si].cls).size(),
+                         &script_locals_[si]);
+  }
+  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
+    AllocateLocalColumns(program_->handlers[hi].local_types,
+                         world_->table(program_->handlers[hi].cls).size(),
+                         &handler_locals_[hi]);
   }
 
-  // Reactive handlers (§3.2): conditions over current state, set-at-a-time.
-  for (size_t hi = 0; hi < program_->handlers.size(); ++hi) {
-    const CompiledHandler& handler = program_->handlers[hi];
-    EntityTable& table = world_->table(handler.cls);
-    if (table.empty()) continue;
-    if (handler_all_.size() != table.size()) {  // iota; see script selections
-      handler_all_.resize(table.size());
-      for (size_t i = 0; i < table.size(); ++i) {
-        handler_all_[i] = static_cast<RowIdx>(i);
+  // --- 1-3. Select, prepare, query + effect ------------------------------
+  Stopwatch query_timer;
+  // Shards fan out on the pool; one shard runs on the calling thread.
+  auto for_each_shard = [&](auto&& fn) {
+    if (S > 1 && pool_ != nullptr) {
+      pool_->ParallelFor(S, fn);
+    } else {
+      for (int s = 0; s < S; ++s) fn(s);
+    }
+  };
+  for_each_shard([&](int s) {
+    SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_,
+                   workers_[static_cast<size_t>(s)]->env.tel_track, 0);
+    ComputeSelections(s);
+  });
+  {
+    SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0, 0);
+    PrepareSites();
+  }
+  if (S > 1) {
+    for_each_shard([&](int s) {
+      Worker& ws = *workers_[static_cast<size_t>(s)];
+      Stopwatch shard_timer;
+      {
+        SGL_TRACE_SPAN(tel, kSpanShardRun, tick_, ws.env.tel_track, 0);
+        RunShard(s, 1);
       }
-    }
-    LocalColumns& locals = handler_locals_[hi];
-    AllocateLocalColumns(handler.local_types, table.size(), &locals);
-    handler_selection_.clear();
-    {
-      SGL_TRACE_SPAN(tel, kSpanTickSelect, tick_, 0,
-                     static_cast<uint16_t>(hi));
-      if (options_.interpreted) {
-        ScalarContext ctx;
-        ctx.world = world_;
-        ctx.outer_cls = handler.cls;
-        ctx.locals = &locals;
-        for (RowIdx row : handler_all_) {
-          ctx.outer_row = row;
-          if (EvalScalarBool(*handler.cond, ctx)) {
-            handler_selection_.push_back(row);
-          }
-        }
-      } else {
-        VecContext ctx;
-        ctx.world = world_;
-        ctx.outer = &table;
-        ctx.outer_rows = &handler_all_;
-        ctx.locals = &locals;
-        ctx.scratch = &workers_[0]->scratch;
-        const VmProgram* cond_vm =
-            vm_cache_ != nullptr ? vm_cache_->Value(handler.cond.get())
-                                 : nullptr;
-        if (cond_vm != nullptr) {
-          VmEvalBool(*cond_vm, ctx, &workers_[0]->scratch.vm, nullptr, 0,
-                     &handler_keep_);
-        } else {
-          EvalBool(*handler.cond, ctx, &handler_keep_);
-        }
-        for (size_t i = 0; i < handler_all_.size(); ++i) {
-          if (handler_keep_[i]) handler_selection_.push_back(handler_all_[i]);
-        }
-      }
-    }
-    if (handler_selection_.empty()) continue;
-    {
-      SGL_TRACE_SPAN(tel, kSpanTickSitePrep, tick_, 0,
-                     static_cast<uint16_t>(hi));
-      PrepareSites(handler.ops, handler_selection_.size());
-    }
-    SGL_TRACE_SPAN(tel, kSpanTickQuery, tick_, 0, static_cast<uint16_t>(hi));
-    RunUnit(handler.ops, handler.cls, handler_selection_, &locals);
+      ws.query_micros = shard_timer.ElapsedMicros();
+    });
+  } else {
+    // The scalar baseline runs whole selections on lane 0.
+    RunShard(0, options_.interpreted ? 1 : num_workers);
   }
   last_.query_effect_micros = query_timer.ElapsedMicros();
-  if (options_.fault != nullptr) {
-    // Crash between query and merge: issued effects/intents die with the
-    // process, state columns are still pre-tick. Recovery restores the
-    // last checkpoint and replays.
-    SGL_RETURN_IF_ERROR(
-        options_.fault->MaybeCrash(kFaultExecCrashPostQuery, tick_));
-  }
 
-  // --- 2. Merge ---------------------------------------------------------
+  // --- 4. Merge ---------------------------------------------------------
   Stopwatch merge_timer;
   {
-    SGL_TRACE_SPAN(tel, kSpanTickMerge, tick_, 0, 0);
-    if (shards > 1) {
-      for (int s = 0; s < shards; ++s) {
-        for (ClassId c = 0; c < num_classes; ++c) {
-          world_->effects(c).MergeFrom(
-              *shard_effects_[static_cast<size_t>(s)][static_cast<size_t>(c)]);
-        }
-      }
-    }
+    SGL_TRACE_SPAN(tel, S > 1 ? kSpanTickBarrier : kSpanTickMerge, tick_, 0,
+                   0);
+    SGL_RETURN_IF_ERROR(MergeEffects());
     // Canonicalize set-effect logs (sort + dedup + pooled materialization)
-    // now that the last shard has merged; update-phase reads require it.
+    // now that every worker has merged; update-phase reads require it.
     {
       SGL_TRACE_SPAN(tel, kSpanTickFinalize, tick_, 0, 0);
       for (ClassId c = 0; c < num_classes; ++c) {
         world_->effects(c).FinalizeSets();
       }
     }
-    // Aggregate per-site feedback across shards and inform the controller.
+    // Aggregate per-site feedback across workers and inform the controller.
     last_.sites.assign(static_cast<size_t>(program_->num_sites),
                        SiteFeedback());
-    for (const auto& shard : feedback_shards_) {
-      for (size_t i = 0; i < shard.size(); ++i) {
-        if (shard[i].site < 0) continue;
+    for (const auto& ws : workers_) {
+      for (size_t i = 0; i < ws->feedback.size(); ++i) {
+        const SiteFeedback& fb = ws->feedback[i];
+        if (fb.site < 0) continue;
         SiteFeedback& agg = last_.sites[i];
-        agg.site = shard[i].site;
-        agg.strategy = shard[i].strategy;
-        agg.outer_rows += shard[i].outer_rows;
-        agg.candidates += shard[i].candidates;
-        agg.matches += shard[i].matches;
-        agg.micros += shard[i].micros;
-        agg.probe_micros += shard[i].probe_micros;
-        agg.effects += shard[i].effects;
-        last_.probe_micros += shard[i].probe_micros;
+        agg.site = fb.site;
+        agg.strategy = fb.strategy;
+        agg.outer_rows += fb.outer_rows;
+        agg.candidates += fb.candidates;
+        agg.matches += fb.matches;
+        agg.micros += fb.micros;
+        agg.probe_micros += fb.probe_micros;
+        agg.effects += fb.effects;
+        last_.probe_micros += fb.probe_micros;
       }
     }
     for (const SiteFeedback& fb : last_.sites) {
@@ -414,11 +522,12 @@ Status TickExecutor::RunTick() {
   }
   last_.merge_micros = merge_timer.ElapsedMicros();
 
-  // --- 3. Update phase ----------------------------------------------------
+  // --- 5. Update phase --------------------------------------------------
   Stopwatch update_timer;
   // Out-of-band completions ride the barrier: results whose declared
-  // latency elapses this tick install now, in deterministic order, so the
-  // components below read them no matter which tick a worker finished on.
+  // latency elapses this tick install now, after the merge and in
+  // deterministic order, so the components below read them no matter which
+  // tick a worker finished on (src/async/job_service.h).
   if (jobs_ != nullptr) {
     SGL_TRACE_SPAN(tel, kSpanTickInstall, tick_, 0, 0);
     jobs_->InstallDue(tick_);
@@ -437,13 +546,21 @@ Status TickExecutor::RunTick() {
                             std::to_string(tick_));
   }
   if (options_.fault != nullptr) {
-    // Crash after the update phase but before the tick commits (counter
-    // bump): the classic torn-tick window a checkpoint must mend.
-    SGL_RETURN_IF_ERROR(
-        options_.fault->MaybeCrash(kFaultExecCrashPostUpdate, tick_));
+    // Crash after the update phase but before the tick commits (migrations,
+    // epoch, counter bump): the torn-tick window a checkpoint must mend.
+    SGL_RETURN_IF_ERROR(options_.fault->MaybeCrash(
+        S > 1 ? kFaultShardCrashPostUpdate : kFaultExecCrashPostUpdate,
+        tick_));
   }
 
-  // --- 4. Bookkeeping ----------------------------------------------------
+  // --- 6. Bookkeeping ----------------------------------------------------
+  if (sharded_ != nullptr) {
+    if (sharded_->has_pending_migrations()) {
+      SGL_TRACE_SPAN(tel, kSpanTickMigrate, tick_, 0, 0);
+      SGL_RETURN_IF_ERROR(sharded_->ApplyPendingMigrations());
+    }
+    sharded_->BumpEpoch();
+  }
   if (jobs_ != nullptr) {
     JobTickStats js;
     jobs_->SampleTick(&js);
@@ -461,7 +578,24 @@ Status TickExecutor::RunTick() {
   last_.index_build_micros = indexes_.build_micros() - index_micros_before;
   last_.index_memory_bytes = static_cast<int64_t>(indexes_.MemoryBytes());
   last_.simd_lanes_used = SimdLanesNow() - simd_lanes_before;
-  // --- 5. Recorder capture ----------------------------------------------
+  // Shard skew (S > 1): slowest-minus-fastest query phase approximates the
+  // time the barrier sat waiting on the straggler; imbalance is
+  // (max/mean − 1) in basis points. Computed outside the armed-telemetry
+  // branch because the flight recorder's anomaly triggers consume it too.
+  int64_t barrier_stall_us = -1;  // -1 = no shard barrier
+  int64_t imbalance_bp = 0;
+  if (S > 1) {
+    int64_t q_max = 0, q_min = INT64_MAX, q_sum = 0;
+    for (const auto& ws : workers_) {
+      q_max = std::max(q_max, ws->query_micros);
+      q_min = std::min(q_min, ws->query_micros);
+      q_sum += ws->query_micros;
+    }
+    barrier_stall_us = q_max - q_min;
+    imbalance_bp = q_sum > 0 ? (q_max * S - q_sum) * 10000 / q_sum : 0;
+  }
+
+  // --- 7. Recorder capture ----------------------------------------------
   // Part of the tick: total_micros runs to the end of capture (the
   // recorder seals its frame with the same figure). Before the alloc-count
   // read below, so frame assembly is held to allocs_per_tick == 0.
@@ -472,6 +606,9 @@ Status TickExecutor::RunTick() {
     fin.stats = &last_;
     fin.world = world_;
     fin.tick_clock = &total;
+    fin.barrier_stall_us = barrier_stall_us;
+    fin.imbalance_bp = imbalance_bp;
+    fin.cross_shard_records = static_cast<int64_t>(cross_records_);
     last_.total_micros = options_.recorder->CaptureTick(fin);
   } else {
     last_.total_micros = total.ElapsedMicros();
@@ -490,6 +627,11 @@ Status TickExecutor::RunTick() {
                              b.eval_us_per_outer[1], b.probe_us_per_outer[0],
                              b.probe_us_per_outer[1]);
     }
+    if (S > 1) {
+      for (const auto& ws : workers_) {
+        tel->metrics().Record(tel->series().shard_query_us, ws->query_micros);
+      }
+    }
     Telemetry::TickSample s;
     s.total_us = last_.total_micros;
     s.query_us = last_.query_effect_micros;
@@ -497,7 +639,9 @@ Status TickExecutor::RunTick() {
     s.update_us = last_.update_micros;
     s.probe_us = last_.probe_micros;
     s.job_wait_us = jobs_ != nullptr ? last_.job_wait_micros : -1;
-    s.barrier_stall_us = -1;  // no shard barrier in the unsharded pipeline
+    s.barrier_stall_us = barrier_stall_us;
+    s.shard_imbalance_bp = imbalance_bp;
+    s.cross_shard_records = static_cast<int64_t>(cross_records_);
     s.jobs_submitted = last_.jobs_submitted;
     s.jobs_installed = last_.jobs_installed;
     s.jobs_in_flight = last_.jobs_in_flight;

@@ -1,20 +1,44 @@
-// TickExecutor: drives the state-effect pattern (§2) each tick.
+// TickExecutor: drives the state-effect pattern (§2) each tick, for every
+// world layout. The layout is an input to one tick pipeline, not a second
+// engine: a world with no ShardedWorld is the 1-shard layout.
 //
-//   1 QUERY+EFFECT  compiled plans run set-at-a-time over each script's
-//                   class extent (multi-phase scripts dispatch on their PC
-//                   column), then reactive handlers; parallel mode splits
-//                   selections into fixed morsels with static morsel->thread
-//                   assignment and per-thread effect/intent shards — the
-//                   phases only read state, so no synchronization (§4.2)
-//   2 MERGE         shard buffers fold into the world's effect buffers in
-//                   shard order (⊕ combinators are order-insensitive;
-//                   first/last carry explicit keys)
-//   3 UPDATE        update components run over their disjoint state
-//                   partitions: transaction admission, declared update
-//                   rules, then any registered engine components (§2.2)
-//   4 BOOKKEEPING   statistics refresh, adaptive feedback, tick++
-//   5 CAPTURE       an armed flight recorder seals the tick's frame
+//   0 SETUP         effect buffers, tracers, intent logs, and per-worker
+//                   state reset for the tick
+//   1 SELECT        each shard computes its phase/handler selections over
+//                   its row ranges (multi-phase scripts dispatch on their PC
+//                   column, handlers evaluate their conditions; reads only
+//                   prior state)
+//   2 PREPARE       access paths (indexes, hashes, composed filters) are
+//                   prepared once per site for all shards: the read view is
+//                   shared, so per-shard builds would be redundant replicas
+//   3 QUERY+EFFECT  compiled plans run set-at-a-time over the selections;
+//                   the phases only read state, so no synchronization (§4.2)
+//   4 MERGE         worker effects fold into the world's effect buffers in
+//                   a fixed order; set logs canonicalize; per-site feedback
+//                   reaches the adaptive controller
+//   5 UPDATE        due async jobs install, then the update components run
+//                   over their disjoint state partitions: transaction
+//                   admission, declared update rules, registered components
+//   6 BOOKKEEPING   statistics, migrations + epoch (S > 1), tick++
+//   7 CAPTURE       an armed flight recorder seals the tick's frame
 //                   (src/telemetry/flight_recorder.h), inside tick time
+//
+// Only the work decomposition and the effect sink depend on the layout:
+//
+//   S > 1   shard s covers [shard_begin, shard_end) of every class and
+//           runs its morsels in order on one pool worker, writing through
+//           its ShardRouter (local dense buffer or cross-shard mailbox);
+//           the barrier flips the mailboxes and merges source-shard-major,
+//           then applies queued migrations and bumps the epoch
+//           (src/shard/README.md)
+//   S = 1   the one shard covers [0, size); its morsels are dealt round-
+//           robin (morsel m to lane m % T, each lane's in increasing
+//           order). With T > 1 each lane writes its own full-size effect
+//           buffers, merged in lane order; with T = 1 effects go straight
+//           into the world's buffers
+//
+// Either way the result is a pure function of the layout (S, and T when
+// S = 1) and the morsel size, never of scheduling.
 //
 // Setting ExecOptions::interpreted runs the identical program object-at-a-
 // time (per-entity scalar evaluation, full scans in accum loops) — the
@@ -22,12 +46,13 @@
 // against.
 //
 // Steady-state ticks are allocation-free on both halves of the tick: every
-// selection vector, local column, prepared site, effect shard, and
+// selection vector, local column, prepared site, effect buffer, and
 // evaluation temporary lives in executor-owned scratch with high-water
 // reuse (reads), and the write path — per-worker flat intent logs, the
-// dense epoch StateOverlay, CSR-pooled set effects — never boxes per row
-// (see txn/txn_engine.h, storage/effect_buffer.h). TickStats reports the
-// residual via allocs_per_tick / bytes_per_tick (see common/alloc_hook.h).
+// dense epoch StateOverlay, CSR-pooled set effects, mailbox lanes — never
+// boxes per row (see txn/txn_engine.h, storage/effect_buffer.h).
+// TickStats reports the residual via allocs_per_tick / bytes_per_tick (see
+// common/alloc_hook.h).
 
 #ifndef SGL_EXEC_TICK_EXECUTOR_H_
 #define SGL_EXEC_TICK_EXECUTOR_H_
@@ -44,16 +69,20 @@ namespace sgl {
 
 class FaultInjector;
 class FlightRecorder;
+class ShardRouter;
+class ShardedWorld;
 class Telemetry;
 
 /// Executor configuration.
 struct ExecOptions {
   int num_threads = 1;
   /// > 1 partitions the world into that many row-range shards with
-  /// cross-shard effect routing; the engine then drives the sharded
-  /// pipeline (src/shard/shard_executor.h) instead of TickExecutor, reusing
-  /// the remaining fields (threads, morsels, planner, interpreted).
+  /// cross-shard effect routing (src/shard/); the same TickExecutor runs
+  /// that layout, and the remaining fields keep their meaning. At most
+  /// 254 (shard ids fit a byte); Engine::Create rejects more.
   int num_shards = 1;
+  /// Rows per morsel, the unit of query-phase work (>= 1; Engine::Create
+  /// rejects 0).
   size_t morsel_size = 2048;
   AdaptiveController::Options planner;
   bool interpreted = false;  ///< object-at-a-time baseline mode
@@ -146,16 +175,16 @@ struct TickStats {
   TxnStats txn;
 
   /// Zeroes every scalar field for a new tick, keeping `sites`' capacity.
-  /// Shared by TickExecutor and ShardExecutor so a new field can't be
-  /// reset in one pipeline and silently reported stale by the other.
   void Reset(Tick now);
 };
 
 class TickExecutor {
  public:
-  /// `world` and `program` must outlive the executor.
-  TickExecutor(World* world, const CompiledProgram* program,
-               ExecOptions options);
+  /// `world`, `program`, and `sharded` (when not null) must outlive the
+  /// executor. Null `sharded` runs the world as one shard; otherwise its
+  /// shard count must equal options.num_shards, which must be > 1.
+  TickExecutor(World* world, ShardedWorld* sharded,
+               const CompiledProgram* program, ExecOptions options);
   ~TickExecutor();
 
   /// Registers the built-in components (transaction engine + expression
@@ -186,8 +215,9 @@ class TickExecutor {
   ComponentRegistry& components() { return components_; }
 
   /// The out-of-band JobService (created on first use from
-  /// options().jobs). Completions install at the tick barrier, before the
-  /// update components run.
+  /// options().jobs). Completions install at the tick barrier, after the
+  /// effect merge and before the update components run; components submit
+  /// shard-tagged jobs when the world is sharded.
   JobService& jobs() {
     if (jobs_ == nullptr) {
       JobServiceOptions jo = options_.jobs;
@@ -203,26 +233,51 @@ class TickExecutor {
   /// Attaches / detaches the effect tracer (§3.3). Null = off.
   void set_trace(EffectTracer* tracer) { trace_ = tracer; }
 
+  /// Effect records routed across shards last tick (0 with one shard).
+  size_t last_cross_shard_records() const { return cross_records_; }
+
  private:
-  /// Everything one worker shard reuses across morsels and ticks: its
-  /// ExecEnv (with the per-class effect-sink table), its scratch pools,
-  /// and its morsel slice buffer.
-  struct WorkerState {
+  /// One worker slot. When S > 1, slot s runs shard s's units and writes
+  /// through its router; when S = 1, slot t runs the morsels m with
+  /// m % T == t and writes its own effect buffers (T > 1) or the world's
+  /// (T = 1). Slots [0, S) also hold their shard's selections.
+  struct Worker {
     ExecEnv env;
     ExecScratch scratch;
-    std::vector<RowIdx> slice;
+    std::vector<RowIdx> slice;  ///< morsel chunk buffer
+    std::vector<SiteFeedback> feedback;
+    std::unique_ptr<ShardRouter> router;  ///< S > 1
+    /// S = 1, T > 1: this lane's full-size effect buffers, by class.
+    std::vector<std::unique_ptr<EffectBuffer>> effects;
+    /// Per script, per phase: selected rows of this shard's ranges.
+    std::vector<std::vector<std::vector<RowIdx>>> script_selections;
+    /// Per handler: cached range iota and this tick's selection.
+    std::vector<std::vector<RowIdx>> handler_rows;
+    std::vector<std::vector<RowIdx>> handler_selections;
+    std::vector<uint8_t> handler_keep;
+    /// Wall time of this shard's query phase last tick (S > 1); the
+    /// barrier derives the stall (max - min) and imbalance gauges.
+    int64_t query_micros = 0;
   };
 
-  void EnsureWorkers(int shards);
-  void RunUnit(const std::vector<std::unique_ptr<PlanOp>>& ops,
-               ClassId cls, const std::vector<RowIdx>& selection,
-               LocalColumns* locals);
-  void PrepareSites(const std::vector<std::unique_ptr<PlanOp>>& ops,
-                    size_t outer_rows);
+  void ComputeSelections(int shard);
+  void PrepareSites();
+  void PrepareUnitSites(const std::vector<std::unique_ptr<PlanOp>>& ops,
+                        size_t outer_rows);
+  /// Runs every unit of `shard` on worker slots [shard, shard + lanes).
+  void RunShard(int shard, int lanes);
+  void RunUnit(const std::vector<std::unique_ptr<PlanOp>>& ops, ClassId cls,
+               const std::vector<RowIdx>& selection, LocalColumns* locals,
+               int first, int lanes);
+  /// Folds the workers' effects into the world's buffers (barrier crash
+  /// and stall sites included).
+  Status MergeEffects();
 
   World* world_;
+  ShardedWorld* sharded_;  ///< null = 1 shard
   const CompiledProgram* program_;
   ExecOptions options_;
+  int num_shards_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   IndexManager indexes_;
   StatsManager stats_mgr_;
@@ -241,21 +296,14 @@ class TickExecutor {
   Tick tick_ = 0;
   TickStats last_;
   bool initialized_ = false;
-  /// Per-worker effect shards, [shard][class]; allocated when threads > 1.
-  std::vector<std::vector<std::unique_ptr<EffectBuffer>>> shard_effects_;
+  size_t cross_records_ = 0;
 
   // --- Steady-state scratch (high-water reuse, see header comment) ------
-  std::vector<std::unique_ptr<WorkerState>> workers_;  ///< one per shard
+  std::vector<std::unique_ptr<Worker>> workers_;  ///< one per slot
   std::vector<SiteCache> site_cache_;    ///< by site id
-  std::vector<PreparedSite> prepared_;   ///< by site id, refreshed per unit
+  std::vector<PreparedSite> prepared_;   ///< by site id, refreshed per tick
   std::vector<LocalColumns> script_locals_;   ///< by script index
   std::vector<LocalColumns> handler_locals_;  ///< by handler index
-  /// Per script: per-phase selections, reused across ticks.
-  std::vector<std::vector<std::vector<RowIdx>>> script_selections_;
-  std::vector<RowIdx> handler_all_;
-  std::vector<RowIdx> handler_selection_;
-  std::vector<uint8_t> handler_keep_;
-  std::vector<std::vector<SiteFeedback>> feedback_shards_;
 };
 
 }  // namespace sgl

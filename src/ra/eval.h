@@ -128,8 +128,8 @@ struct LocalColumns {
 };
 
 /// Zero-fills `locals` for `rows` rows of every slot in `types` (capacity
-/// kept). Shared by the single-world and sharded executors so their local
-/// column semantics cannot drift.
+/// kept). TickExecutor sizes every script's and handler's locals with it
+/// once per tick, in every shard layout.
 void AllocateLocalColumns(const std::vector<SglType>& types, size_t rows,
                           LocalColumns* locals);
 

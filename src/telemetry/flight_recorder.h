@@ -12,7 +12,7 @@
 //     post-write-back state value of the written field,
 //   * a wall-clock window (for span extraction into dumps).
 //
-// Capture path (armed): the executors fan every effect write into the
+// Capture path (armed): the executor fans every effect write into the
 // recorder's internal watch-all EffectTracer — a plain store of one
 // trivially copyable TraceRecord into the writing worker slot's pooled
 // lane. At tick bookkeeping — inside the tick's time (the `tick.capture`
@@ -136,7 +136,7 @@ struct TickFrame {
   int64_t txn_issued = 0;
   int64_t txn_committed = 0;
   int64_t txn_aborted = 0;
-  /// Sharded-pipeline gauges (-1 / 0 under TickExecutor).
+  /// Sharded-layout gauges (-1 / 0 when the world is one shard).
   int64_t barrier_stall_us = -1;
   int64_t imbalance_bp = 0;
   int64_t cross_shard_records = 0;
@@ -162,8 +162,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Armed = capture; disarmed = executors see a null sink. Flip between
-  /// ticks. World checksums are bit-identical armed vs disarmed — capture
+  /// Armed = capture; disarmed = the executor sees a null sink. Flip
+  /// between ticks. World checksums are bit-identical armed vs disarmed — capture
   /// only observes.
   bool armed() const { return armed_; }
   void set_armed(bool on) { armed_ = on; }
@@ -177,8 +177,8 @@ class FlightRecorder {
   void set_fault(FaultInjector* fault);
   void AttachStore(BlackBoxStore* store) { store_ = store; }
 
-  /// The effect-write sink the executors fan into this tick (null when
-  /// disarmed — the executors re-read this every tick).
+  /// The effect-write sink the executor fans into this tick (null when
+  /// disarmed — the executor re-reads this every tick).
   EffectTracer* capture_sink() { return armed_ ? &tracer_ : nullptr; }
 
   /// One tick's capture input, filled by the executor at bookkeeping time.
@@ -188,7 +188,7 @@ class FlightRecorder {
     const World* world = nullptr;
     /// Started when the tick started; read once the frame is assembled.
     const Stopwatch* tick_clock = nullptr;
-    /// Sharded pipeline only; TickExecutor leaves the defaults.
+    /// Sharded layout only; a 1-shard tick passes these defaults.
     int64_t barrier_stall_us = -1;
     int64_t imbalance_bp = 0;
     int64_t cross_shard_records = 0;

@@ -11,7 +11,7 @@
 //
 // Contracts:
 //   * Registration (Register*) happens at setup time, single-threaded —
-//     the executors register their standard series in the Telemetry
+//     the executor registers its standard series in the Telemetry
 //     constructor. The record path indexes a stable cell by MetricId and
 //     never takes a lock or allocates.
 //   * Count / Set / Record are safe from any thread (relaxed atomics; a

@@ -77,7 +77,7 @@ constexpr SpanSite MakeSpanSite(const char* name) {
 }
 
 // --- The span sites wired into the engine -------------------------------
-// tick: phases shared by TickExecutor and ShardExecutor (track 0 = the
+// tick: TickExecutor's phases, in every shard layout (track 0 = the
 // barrier thread's view; per-shard work carries track = shard + 1).
 inline constexpr SpanSite kSpanTickTotal = MakeSpanSite("tick.total");
 inline constexpr SpanSite kSpanTickSelect = MakeSpanSite("tick.select");
@@ -92,8 +92,8 @@ inline constexpr SpanSite kSpanTickMigrate = MakeSpanSite("tick.migrate");
 // The armed flight recorder's per-tick capture (drain + after-value
 // resolution), inside tick.total and counted in TickStats::total_micros.
 inline constexpr SpanSite kSpanTickCapture = MakeSpanSite("tick.capture");
-// shard: the sharded pipeline's B phase and barrier internals
-// (src/shard/shard_executor.cc).
+// shard: a sharded tick's per-shard query phase and barrier internals
+// (src/exec/tick_executor.cc; only when num_shards > 1).
 inline constexpr SpanSite kSpanShardRun = MakeSpanSite("shard.run");
 inline constexpr SpanSite kSpanTickBarrier = MakeSpanSite("tick.barrier");
 inline constexpr SpanSite kSpanMailboxFlip =

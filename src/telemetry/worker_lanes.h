@@ -1,9 +1,9 @@
 // WorkerLanes<Record>: per-worker-slot pooled append lanes
 // (src/telemetry/).
 //
-// The executors hand every parallel unit of query-phase work a fixed
-// worker slot — TickExecutor's ParallelFor index (which owns a fixed set of
-// morsels), ShardExecutor's shard id — and slot s appends only to lane s.
+// TickExecutor hands every parallel unit of query-phase work a fixed
+// worker slot — the lane index that owns a fixed set of morsels with one
+// shard, the shard id with several — and slot s appends only to lane s.
 // Which OS thread claims a slot changes from tick to tick; the work a slot
 // records does not. So each lane's high-water capacity is a property of
 // the workload, and once every lane has reached it Append() is a capacity

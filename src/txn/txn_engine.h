@@ -201,9 +201,9 @@ class TxnEngine {
 
 /// Adapts `engine` to the update-component interface: the component owns
 /// every state field written by atomic blocks plus the status fields
-/// (§3.1). Shared by the single-world TickExecutor and the sharded
-/// pipeline (src/shard/), whose per-shard intent logs both feed the same
-/// partition-independent admission.
+/// (§3.1). TickExecutor's per-worker intent logs (one per lane with one
+/// shard, one per shard with several) all feed the same partition-
+/// independent admission.
 std::unique_ptr<UpdateComponent> MakeTxnComponent(
     TxnEngine* engine, const CompiledProgram* program);
 

@@ -163,8 +163,8 @@ inline void AddSimdLanes(size_t lanes) {
                     std::memory_order_relaxed);
 }
 
-/// Cumulative SIMD-lane count of every thread, live and exited; executors
-/// diff it around a tick to report TickStats::simd_lanes_used. Exact once
+/// Cumulative SIMD-lane count of every thread, live and exited; the
+/// executor diffs it around a tick to report TickStats::simd_lanes_used. Exact once
 /// the counting threads have synchronized with the caller (the tick's
 /// barriers); allocation-free.
 int64_t SimdLanesNow();

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/alloc_hook.h"
 #include "src/engine/engine.h"
 
 namespace sgl {
@@ -149,6 +150,133 @@ TEST(Engine, OptionsArePluumbedThrough) {
   ClassId cls = (*engine)->catalog().Find("A");
   EXPECT_EQ(1u, (*engine)->world().table(cls).grouping().groups.size());
   ASSERT_TRUE((*engine)->RunTicks(2).ok());
+}
+
+// --- Option validation ------------------------------------------------------
+// Values that would fault mid-tick (divide by zero, a morsel loop that never
+// advances, a shard id that does not fit a byte) are refused up front. One
+// exec thread throughout: none of these cases needs a pool.
+
+TEST(Engine, ZeroMorselSizeIsRejected) {
+  for (int shards : {1, 3}) {
+    EngineOptions options;
+    options.exec.num_threads = 1;
+    options.exec.num_shards = shards;
+    options.exec.morsel_size = 0;
+    auto engine = Engine::Create(kMinimal, options);
+    ASSERT_FALSE(engine.ok()) << "shards=" << shards;
+    EXPECT_EQ(StatusCode::kInvalidArgument, engine.status().code());
+  }
+}
+
+TEST(Engine, ShardCountAboveByteRangeIsRejected) {
+  for (int shards : {255, 300}) {
+    EngineOptions options;
+    options.exec.num_threads = 1;
+    options.exec.num_shards = shards;
+    auto engine = Engine::Create(kMinimal, options);
+    ASSERT_FALSE(engine.ok()) << "shards=" << shards;
+    EXPECT_EQ(StatusCode::kInvalidArgument, engine.status().code());
+  }
+}
+
+TEST(Engine, LargestShardCountAndSmallestMorselTick) {
+  EngineOptions options;
+  options.exec.num_threads = 1;
+  options.exec.num_shards = 254;
+  options.exec.morsel_size = 1;
+  auto engine = Engine::Create(kMinimal, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto id = (*engine)->Spawn("A", {});
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE((*engine)->RunTicks(2).ok());
+  EXPECT_DOUBLE_EQ(2.0, (*engine)->Get(*id, "x")->AsNumber());
+}
+
+// --- One executor in every layout ----------------------------------------
+
+// Trucks write their depot's effects through a ref; a handler and an
+// index-able range accum ride along. Nothing the selections or joins see
+// changes from tick to tick, so every buffer reaches its high-water mark
+// during warm-up.
+const char* kDepots = R"sgl(
+class Depot {
+  state:
+    number stock = 0;
+  effects:
+    number inflow : sum;
+  update:
+    stock = stock + inflow;
+}
+class Truck {
+  state:
+    number x = 0;
+    number near = 0;
+    ref<Depot> depot = null;
+  effects:
+    number n_near : last;
+  update:
+    near = n_near;
+}
+script Deliver for Truck {
+  if (depot != null) { depot.inflow <- x / 7; }
+  accum number n with sum over Truck t from Truck {
+    if (t.x >= x - 2 && t.x <= x + 2) { n <- 1; }
+  } in { n_near <- n; }
+}
+when Truck Rush (x > 40) { depot.inflow <- 1; }
+)sgl";
+
+std::unique_ptr<Engine> BuildDepots(int threads, int shards) {
+  EngineOptions options;
+  options.exec.num_threads = threads;
+  options.exec.num_shards = shards;
+  options.exec.morsel_size = 64;
+  auto engine = Engine::Create(kDepots, options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  std::vector<EntityId> depots;
+  for (int d = 0; d < 4; ++d) {
+    depots.push_back(*(*engine)->Spawn("Depot", {}));
+  }
+  for (int i = 0; i < 600; ++i) {
+    EXPECT_TRUE((*engine)
+                    ->Spawn("Truck", {{"x", Value::Number(i % 97)},
+                                      {"depot", Value::Ref(depots[i % 4])}})
+                    .ok());
+  }
+  return std::move(engine).value();
+}
+
+TEST(Engine, ExecutorIsValidInEveryLayout) {
+  auto sharded = BuildDepots(/*threads=*/1, /*shards=*/3);
+  ASSERT_TRUE(sharded->sharded());
+  EXPECT_EQ(&sharded->executor(), &sharded->shard_executor());
+  ASSERT_TRUE(sharded->RunTicks(2).ok());
+  EXPECT_EQ(&sharded->executor().last_stats(), &sharded->last_stats());
+  EXPECT_GT(sharded->executor().last_cross_shard_records(), 0u);
+
+  auto single = BuildDepots(/*threads=*/1, /*shards=*/1);
+  ASSERT_FALSE(single->sharded());
+  ASSERT_TRUE(single->RunTicks(2).ok());
+  EXPECT_EQ(0u, single->executor().last_cross_shard_records());
+}
+
+TEST(Engine, OneExecutorTicksAllocationFreeInEveryLayout) {
+  if (!AllocCountingEnabled()) GTEST_SKIP() << "alloc hook compiled out";
+  struct Layout {
+    int threads;
+    int shards;
+  };
+  for (const Layout& layout : {Layout{1, 1}, Layout{4, 1}, Layout{1, 3}}) {
+    auto engine = BuildDepots(layout.threads, layout.shards);
+    ASSERT_TRUE(engine->RunTicks(12).ok());
+    for (int t = 0; t < 6; ++t) {
+      ASSERT_TRUE(engine->Tick().ok());
+      EXPECT_EQ(0, engine->executor().last_stats().allocs_per_tick)
+          << "threads=" << layout.threads << " shards=" << layout.shards
+          << " " << DescribeTickStats(engine->executor().last_stats());
+    }
+  }
 }
 
 TEST(Engine, PhysicsOnUnknownClassFails) {

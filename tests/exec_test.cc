@@ -475,5 +475,86 @@ script S for A {
   }
 }
 
+// Cross-worker merge order, pinned. Hundreds of trucks (a script and a
+// handler) write non-dyadic sums through refs into a few shared depots,
+// so each depot's total depends on the order in which the worker lanes'
+// or the shards' partial sums fold together; first/last effects ride
+// along. The constants were recorded before the unsharded and sharded
+// tick pipelines were merged into one executor: any change to the lane
+// merge order (S = 1, T > 1) or the source-major shard merge (S > 1)
+// moves them.
+TEST(Exec, CrossWorkerMergeOrderIsPinned) {
+  constexpr char kSource[] = R"sgl(
+class Depot {
+  state:
+    number stock = 0;
+    number mark = 0;
+  effects:
+    number inflow : sum;
+    number first_x : first;
+    number last_x : last;
+  update:
+    stock = stock + inflow;
+    mark = mark + first_x - last_x;
+}
+class Truck {
+  state:
+    number x = 0;
+    ref<Depot> depot = null;
+  effects:
+    number dx : sum;
+  update:
+    x = x + dx;
+}
+script Deliver for Truck {
+  if (depot != null) {
+    depot.inflow <- (x + depot.stock) / 7;
+    depot.first_x <- x / 3;
+    depot.last_x <- x / 11;
+    dx <- depot.stock / 13;
+  }
+}
+when Truck Rush (x > 40) { depot.inflow <- x / 9; }
+)sgl";
+  struct Config {
+    int threads;
+    int shards;
+    bool interpreted;
+    uint64_t checksum;
+  };
+  const Config kConfigs[] = {
+      {1, 1, false, 0x86a97f58df04c466ULL},
+      {4, 1, false, 0x95c556d359e73364ULL},
+      {1, 3, false, 0xb21a8090795e80a0ULL},
+      {4, 3, false, 0xb21a8090795e80a0ULL},
+      {1, 1, true, 0x86a97f58df04c466ULL},
+  };
+  for (const Config& c : kConfigs) {
+    EngineOptions options;
+    options.exec.num_threads = c.threads;
+    options.exec.num_shards = c.shards;
+    options.exec.interpreted = c.interpreted;
+    options.exec.morsel_size = 16;
+    auto engine = Engine::Create(kSource, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    std::vector<EntityId> depots;
+    for (int d = 0; d < 5; ++d) {
+      depots.push_back(*(*engine)->Spawn("Depot", {}));
+    }
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_TRUE(
+          (*engine)
+              ->Spawn("Truck",
+                      {{"x", Value::Number((i * 37 % 101) * 0.61)},
+                       {"depot", Value::Ref(depots[(i * 7 + i / 13) % 5])}})
+              .ok());
+    }
+    ASSERT_TRUE((*engine)->RunTicks(6).ok());
+    EXPECT_EQ(c.checksum, WorldChecksum((*engine)->world()))
+        << "threads=" << c.threads << " shards=" << c.shards
+        << " interpreted=" << c.interpreted;
+  }
+}
+
 }  // namespace
 }  // namespace sgl

@@ -10,7 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/debug/checkpoint.h"
-#include "src/shard/shard_executor.h"
+#include "src/engine/engine.h"
 #include "src/sim/market.h"
 #include "src/sim/rts.h"
 #include "src/sim/traffic.h"
